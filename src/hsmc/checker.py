@@ -13,12 +13,7 @@ descriptor.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
 
 from . import formula as fm
 from .conp import WitnessIndex, val
@@ -45,9 +40,6 @@ _REPRESENTATIVE_MODALITIES = frozenset(
         fm.Modality.EBAR,
     }
 )
-
-_MEMO_CAP = 1 << 18
-
 
 @dataclass
 class Verdict:
@@ -80,25 +72,18 @@ class _Checker:
         self.index = WitnessIndex(structure)
         self.endpoint_memo: dict[tuple, bool] = {}
         self.element_memo: dict[tuple, bool] = {}
-        self.track_memo: OrderedDict[tuple, bool] = OrderedDict()
-        # the LRU reorders on access, which is not safe under the worker pool
-        self._memo_lock = threading.Lock()
+        self.track_memo: dict[tuple, bool] = {}
 
     def check(self, budget: int, f: fm.Formula, track: Track) -> bool:
         if fm.modalities(f) <= self._AABAR:
             # truth only depends on the track's descriptor element
             return self._element_check(f, descriptor_element(track))
         key = (track.states, f, budget)
-        with self._memo_lock:
-            cached = self.track_memo.get(key)
-            if cached is not None:
-                self.track_memo.move_to_end(key)
-                return cached
+        cached = self.track_memo.get(key)
+        if cached is not None:
+            return cached
         result = self._check(budget, f, track)
-        with self._memo_lock:
-            self.track_memo[key] = result
-            if len(self.track_memo) > _MEMO_CAP:
-                self.track_memo.popitem(last=False)
+        self.track_memo[key] = result
         return result
 
     def _element_check(self, f: fm.Formula, element: DescriptorElement) -> bool:
@@ -251,15 +236,12 @@ def check(
     g = fm.normalize(f)
     _require_fragment(g)
     if fm.nest_b(g) > budget:
-        raise AssertionError("nesting budget below the formula's nesting depth")
+        raise ValueError("nesting budget below the formula's nesting depth")
     return _Checker(structure).check(budget, g, track)
 
 
 def mod_check(
-    structure: KripkeStructure,
-    f: fm.Formula,
-    jobs: int = 1,
-    max_tau: int | None = None,
+    structure: KripkeStructure, f: fm.Formula, *, max_tau: int | None = None
 ) -> Verdict:
     """Check the formula against every initial track of the structure.
 
@@ -276,30 +258,7 @@ def mod_check(
             f"representative length bound {bound} exceeds the ceiling {max_tau}"
         )
     checker = _Checker(structure)
-    stream = unravel(structure, structure.initial, depth, Direction.FORWARD)
-    if jobs <= 1:
-        for rep in stream:
-            if not checker.check(depth, g, rep):
-                return Verdict(False, rep)
-        return Verdict(True)
-    return _mod_check_parallel(checker, stream, depth, g, jobs)
-
-
-def _mod_check_parallel(
-    checker: _Checker,
-    stream: Iterator[Track],
-    depth: int,
-    g: fm.Formula,
-    jobs: int,
-) -> Verdict:
-    # verdict aggregation is a conjunction, so batch order only fixes which
-    # counterexample gets reported; batches keep it the stream-first one
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            batch = list(islice(stream, jobs * 4))
-            if not batch:
-                return Verdict(True)
-            results = list(pool.map(lambda t: checker.check(depth, g, t), batch))
-            for rep, ok in zip(batch, results):
-                if not ok:
-                    return Verdict(False, rep)
+    for rep in unravel(structure, structure.initial, depth, Direction.FORWARD):
+        if not checker.check(depth, g, rep):
+            return Verdict(False, rep)
+    return Verdict(True)

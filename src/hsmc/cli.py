@@ -87,9 +87,7 @@ def _cmd_check(args: argparse.Namespace, out) -> int:
     engine = _pick_engine(cls, args.engine)
     counterexample: str | None = None
     if engine == "representative":
-        verdict = checker.mod_check(
-            structure, normalized, jobs=args.jobs, max_tau=_max_tau(args)
-        )
+        verdict = checker.mod_check(structure, normalized, max_tau=_max_tau(args))
         holds = verdict.holds
         if verdict.counterexample is not None:
             counterexample = structure.track_str(verdict.counterexample)
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--track", help="check against this one track instead")
     check.add_argument("--depth", type=int, default=12, help="oracle depth bound")
-    check.add_argument("--jobs", type=int, default=1)
     check.add_argument("--max-tau", type=int, default=None)
     check.add_argument("--verify-with-oracle", action="store_true")
     check.set_defaults(run=_cmd_check)
@@ -306,3 +303,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import formula as fm
 from .descriptor import tau
@@ -33,13 +33,18 @@ class OracleConfig:
             raise ValueError("depth_bound must be at least 2")
 
 
-def all_tracks(
-    structure: KripkeStructure, start: int, max_length: int
-) -> Iterator[Track]:
-    """Every track from ``start`` of length 2..max_length, in depth-first
-    declaration order."""
-    path = [start]
-    iters = [iter(structure.successors(start))]
+def _walk(
+    neighbours: Callable[[int], tuple[int, ...]],
+    anchor: int,
+    path: list[int],
+    max_states: int,
+    backward: bool,
+) -> Iterator[tuple[int, ...]]:
+    """Depth-first walk from ``anchor`` along ``neighbours`` in declaration
+    order.  ``path`` starts as ``[anchor]`` or ``[]`` and grows by one state
+    per step; each version of it up to ``max_states`` states is yielded
+    before its extensions, reversed when walking backward."""
+    iters = [iter(neighbours(anchor))]
     while iters:
         step = next(iters[-1], None)
         if step is None:
@@ -47,30 +52,25 @@ def all_tracks(
             if iters:
                 path.pop()
             continue
-        if len(path) + 1 > max_length:
+        if len(path) >= max_states:
             continue
         path.append(step)
-        yield Track(tuple(path))
-        iters.append(iter(structure.successors(step)))
+        yield tuple(reversed(path)) if backward else tuple(path)
+        iters.append(iter(neighbours(step)))
+
+
+def all_tracks(
+    structure: KripkeStructure, start: int, max_length: int
+) -> Iterator[Track]:
+    """Every track from ``start`` of length 2..max_length, in depth-first
+    declaration order."""
+    return map(Track, _walk(structure.successors, start, [start], max_length, False))
 
 
 def _tracks_into(
     structure: KripkeStructure, end: int, max_length: int
 ) -> Iterator[Track]:
-    rev = [end]
-    iters = [iter(structure.predecessors(end))]
-    while iters:
-        step = next(iters[-1], None)
-        if step is None:
-            iters.pop()
-            if iters:
-                rev.pop()
-            continue
-        if len(rev) + 1 > max_length:
-            continue
-        rev.append(step)
-        yield Track(tuple(reversed(rev)))
-        iters.append(iter(structure.predecessors(step)))
+    return map(Track, _walk(structure.predecessors, end, [end], max_length, True))
 
 
 def _chains_from(
@@ -78,39 +78,13 @@ def _chains_from(
 ) -> Iterator[tuple[int, ...]]:
     """Nonempty state sequences of length <= max_states continuing ``anchor``
     along edges (the appended part of a right extension)."""
-    path: list[int] = []
-    iters = [iter(structure.successors(anchor))]
-    while iters:
-        step = next(iters[-1], None)
-        if step is None:
-            iters.pop()
-            if path:
-                path.pop()
-            continue
-        if len(path) + 1 > max_states:
-            continue
-        path.append(step)
-        yield tuple(path)
-        iters.append(iter(structure.successors(step)))
+    return _walk(structure.successors, anchor, [], max_states, False)
 
 
 def _chains_into(
     structure: KripkeStructure, anchor: int, max_states: int
 ) -> Iterator[tuple[int, ...]]:
-    rev: list[int] = []
-    iters = [iter(structure.predecessors(anchor))]
-    while iters:
-        step = next(iters[-1], None)
-        if step is None:
-            iters.pop()
-            if rev:
-                rev.pop()
-            continue
-        if len(rev) + 1 > max_states:
-            continue
-        rev.append(step)
-        yield tuple(reversed(rev))
-        iters.append(iter(structure.predecessors(step)))
+    return _walk(structure.predecessors, anchor, [], max_states, True)
 
 
 class _Oracle:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .descriptor import tau
 from .errors import ModelError
@@ -51,8 +51,12 @@ class UnravelRequest:
 
     def tracks(self) -> Iterator[Track]:
         if self.direction is Direction.FORWARD:
-            return _forward(self.structure, self.start, self.depth)
-        return _backward(self.structure, self.start, self.depth)
+            neighbours = self.structure.successors
+            admission: _Detector | _Prepender = _Detector(self.depth, self.start)
+        else:
+            neighbours = self.structure.predecessors
+            admission = _Prepender(self.depth, self.start)
+        return _walk(neighbours, self.start, self.length_limit(), admission)
 
     def emits(self, track: Track) -> bool:
         """Whether the stream would emit this exact track, decided by
@@ -138,6 +142,9 @@ class _Detector:
         self.journal.append(ops)
         return True
 
+    def track(self) -> Track:
+        return Track(tuple(self.states))
+
     def pop(self) -> None:
         self.states.pop()
         self.masks.pop()
@@ -159,42 +166,49 @@ def _admissible(states: tuple[int, ...], depth: int) -> bool:
     return all(det.try_push(s) for s in states[1:])
 
 
-def _forward(structure: KripkeStructure, start: int, depth: int) -> Iterator[Track]:
-    limit = UnravelRequest(structure, start, depth, Direction.FORWARD).length_limit()
-    det = _Detector(depth, start)
-    iters = [iter(structure.successors(start))]
+class _Prepender:
+    """Backward admission: each prepended state re-derives the pruning
+    condition left to right over the whole candidate; a refused candidate
+    cuts off its branch (see the module docstring for why that is safe)."""
+
+    def __init__(self, depth: int, end: int):
+        self.depth = depth
+        self.states: tuple[int, ...] = (end,)
+
+    def try_push(self, state: int) -> bool:
+        candidate = (state, *self.states)
+        if not _admissible(candidate, self.depth):
+            return False
+        self.states = candidate
+        return True
+
+    def pop(self) -> None:
+        self.states = self.states[1:]
+
+    def track(self) -> Track:
+        return Track(self.states)
+
+
+def _walk(
+    neighbours: Callable[[int], tuple[int, ...]],
+    start: int,
+    limit: int,
+    admission: _Detector | _Prepender,
+) -> Iterator[Track]:
+    """Depth-first walk from ``start`` along ``neighbours`` in declaration
+    order, yielding each admitted track before its extensions.  The track
+    on the walk has ``len(iters)`` states."""
+    iters = [iter(neighbours(start))]
     while iters:
         step = next(iters[-1], None)
         if step is None:
             iters.pop()
             if iters:
-                det.pop()
+                admission.pop()
             continue
-        if len(det.states) + 1 > limit:
+        if len(iters) >= limit:
             continue
-        if not det.try_push(step):
+        if not admission.try_push(step):
             continue
-        yield Track(tuple(det.states))
-        iters.append(iter(structure.successors(step)))
-
-
-def _backward(structure: KripkeStructure, end: int, depth: int) -> Iterator[Track]:
-    limit = UnravelRequest(structure, end, depth, Direction.BACKWARD).length_limit()
-    rev = [end]  # rev[-1] is the current leftmost state
-    iters = [iter(structure.predecessors(end))]
-    while iters:
-        step = next(iters[-1], None)
-        if step is None:
-            iters.pop()
-            if iters:
-                rev.pop()
-            continue
-        if len(rev) + 1 > limit:
-            continue
-        candidate = (step, *reversed(rev))
-        if not _admissible(candidate, depth):
-            # any further prepend keeps the pair, so the whole branch dies
-            continue
-        rev.append(step)
-        yield Track(candidate)
-        iters.append(iter(structure.predecessors(step)))
+        yield admission.track()
+        iters.append(iter(neighbours(step)))

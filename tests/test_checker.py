@@ -75,20 +75,6 @@ def test_counterexample_is_refutable_by_oracle(k2):
     assert not oracle_eval(k2, verdict.counterexample, parse_formula("[A]q"), OracleConfig(8))
 
 
-def test_parallel_matches_sequential(k2, mutex):
-    for structure, text in [
-        (k2, "[A](p -> <A>q)"),
-        (mutex, "[A](r0 -> <A>e0 | <A><A>e0)"),
-        (k2, "[A]p"),
-    ]:
-        f = parse_formula(text)
-        sequential = mod_check(structure, f)
-        parallel = mod_check(structure, f, jobs=4)
-        assert sequential.holds == parallel.holds
-        if not sequential.holds:
-            assert sequential.counterexample == parallel.counterexample
-
-
 def test_agrees_with_oracle_on_random_instances():
     rng = random.Random(51)
     tested = 0
@@ -126,5 +112,5 @@ def test_equal_descriptors_give_equal_verdicts():
 
 def test_budget_assertion(k2):
     f = normalize(parse_formula("<B><B>p"))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         check(k2, 1, f, k2.track("v0 v1 v0"))

@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hsmc
 from hsmc import parse_formula, parse_kripke
 from hsmc.cli import run
 
@@ -82,16 +86,6 @@ def test_check_verify_with_oracle(files):
          "--depth", "8"]
     )
     assert code == 1
-
-
-def test_check_with_worker_pool(files):
-    model = files("m.txt", MUTEX_TEXT)
-    formula = files("f.txt", "[A](r0 -> <A>e0 | <A><A>e0)\n")
-    code, out = _run(
-        ["check", "--model", model, "--formula", formula, "--jobs", "4"]
-    )
-    assert code == 0
-    assert out == "result: holds\n"
 
 
 def test_check_max_tau_guard(files):
@@ -244,6 +238,26 @@ def test_usage_errors(files):
     assert code == 2
     code, _ = _run(["bogus"])
     assert code == 2
+    model = files("m.txt", K2_TEXT)
+    formula = files("f.txt", "T\n")
+    code, _ = _run(["check", "--model", model, "--formula", formula, "--jobs", "4"])
+    assert code == 2
+
+
+def test_module_entry_point(files):
+    # ``python -m hsmc.cli`` runs the command line, not just the import
+    model = files("m.txt", K2_TEXT)
+    formula = files("f.txt", "[A]q\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsmc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsmc.cli", "check", "--model", model, "--formula", formula],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[0] == "result: violated"
 
 
 def test_model_syntax_error_exit_code(files):
