@@ -1,22 +1,29 @@
-"""Structure- and track-level checking over track representatives.
+"""Structure- and track-level checking over descriptor elements and track
+representatives.
 
-``mod_check`` walks the representatives of the initial tracks and hands each
-one to ``check``, which recurses over the formula: meets/met-by clauses
-consult fresh unravellings anchored at the track's endpoints, started-by
-descends to proper prefixes with one less nesting budget, and the inverse
-started-by/finishes clauses test single-state extensions followed by
-unravelled continuations.  Sound and complete for formulas built from the
-meets, met-by, started-by and the two inverse modalities, because every
-witness track is represented by an emitted track with the same depth-k
-descriptor.
+A formula without started-by is true on a track iff it is true on the
+track's descriptor element (entry state, internal-state set, final state),
+so such subformulas are decided per element: propositions read the labels
+of the element's states, meets/met-by range over the witnessed elements
+anchored at an endpoint, and the inverse started-by/finishes range over
+the one-state extensions and the concatenations with witnessed elements.
+At started-by nesting depth 0, ``mod_check`` therefore checks the initial
+state's witnessed elements and walks no track.  At depth k >= 1 it walks
+the representatives of the initial tracks; started-by descends to proper
+prefixes with one less nesting budget, and meets/met-by/inverse clauses
+over a child with started-by consult fresh unravellings.  Sound and
+complete for formulas built from the meets, met-by, started-by and the two
+inverse modalities, because every witness track is represented by an
+emitted track with the same depth-k descriptor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import formula as fm
-from .conp import WitnessIndex, val
+from .conp import WitnessIndex, concat_descr, val
 from .descriptor import DescriptorElement, descriptor_element, tau
 from .errors import FragmentError, ResourceLimitError
 from .kripke import KripkeStructure, Track
@@ -59,13 +66,17 @@ def _require_fragment(f: fm.Formula) -> None:
 
 
 class _Checker:
-    """One checking session: shared unravelling memoization over one
-    structure.  Results for meets/met-by subformulas depend only on the
-    anchoring endpoint, so they are cached per (state, subformula, budget);
-    pure propositional subformulas anchored at an endpoint are resolved
-    against the witnessed descriptor elements instead of a stream walk."""
+    """One checking session over one structure.
 
-    _AABAR = frozenset({fm.Modality.A, fm.Modality.ABAR})
+    A subformula without started-by is decided on the track's descriptor
+    element alone (``_element_check``): its propositions read the labels of
+    the element's states, meets/met-by read the witnessed elements anchored
+    at an endpoint, and the inverse started-by/finishes read the elements of
+    the one-state extensions and of the concatenations with witnessed
+    elements.  Only subformulas with started-by look at the track itself;
+    their results are cached per (track, subformula, budget), and
+    meets/met-by results per (endpoint, subformula, budget).
+    """
 
     def __init__(self, structure: KripkeStructure):
         self.k = structure
@@ -75,7 +86,7 @@ class _Checker:
         self.track_memo: dict[tuple, bool] = {}
 
     def check(self, budget: int, f: fm.Formula, track: Track) -> bool:
-        if fm.modalities(f) <= self._AABAR:
+        if fm.Modality.B not in fm.modalities(f):
             # truth only depends on the track's descriptor element
             return self._element_check(f, descriptor_element(track))
         key = (track.states, f, budget)
@@ -87,9 +98,7 @@ class _Checker:
         return result
 
     def _element_check(self, f: fm.Formula, element: DescriptorElement) -> bool:
-        """Evaluate a meets/met-by-only formula on a descriptor element.
-        Propositions reduce to label intersections and the modal clauses only
-        anchor at the element's endpoints, so witnessed elements are enough."""
+        """Evaluate a started-by-free formula on a descriptor element."""
         key = (f, element)
         cached = self.element_memo.get(key)
         if cached is not None:
@@ -105,12 +114,10 @@ class _Checker:
                 f.right, element
             )
         elif isinstance(f, (fm.Diamond, fm.Box)):
-            forward = f.mod is fm.Modality.A
-            anchor = element.v_fin if forward else element.v_in
             want = isinstance(f, fm.Diamond)
             found = any(
                 self._element_check(f.child, d) == want
-                for d in self.index.elements(anchor, forward)
+                for d in self._related(f.mod, element)
             )
             result = want == found
         else:
@@ -118,18 +125,34 @@ class _Checker:
         self.element_memo[key] = result
         return result
 
-    def _check(self, budget: int, f: fm.Formula, track: Track) -> bool:
-        if isinstance(f, fm.Top):
-            return True
-        if isinstance(f, fm.Bottom):
-            return False
-        if isinstance(f, fm.Prop):
-            mask = (
-                self.k.prop_mask(f.name) if f.name in self.k.propositions else 0
+    def _related(
+        self, mod: fm.Modality, d: DescriptorElement
+    ) -> Iterator[DescriptorElement]:
+        """The elements of the tracks a modality relates to a track with
+        element ``d``, possibly repeated."""
+        M = fm.Modality
+        if mod is M.A:
+            yield from self.index.elements(d.v_fin, True)
+        elif mod is M.ABAR:
+            yield from self.index.elements(d.v_in, False)
+        elif mod is M.BBAR:
+            # t.v, then t followed by a track from v
+            for v in self.k.successors(d.v_fin):
+                yield DescriptorElement(d.v_in, d.internal | 1 << d.v_fin, v)
+                for e in self.index.elements(v, True):
+                    yield concat_descr(d, e)
+        elif mod is M.EBAR:
+            for u in self.k.predecessors(d.v_in):
+                yield DescriptorElement(u, d.internal | 1 << d.v_in, d.v_fin)
+                for e in self.index.elements(u, False):
+                    yield concat_descr(e, d)
+        else:
+            raise FragmentError(
+                f"the representative engine cannot handle <{mod.value}> formulas"
             )
-            if mask == 0:
-                return False
-            return all(self.k.label_mask(s) & mask for s in track.states)
+
+    def _check(self, budget: int, f: fm.Formula, track: Track) -> bool:
+        # f contains started-by, so it is a connective or a modality
         if isinstance(f, fm.Not):
             return not self.check(budget, f.child, track)
         if isinstance(f, fm.And):
@@ -186,16 +209,12 @@ class _Checker:
         cached = self.endpoint_memo.get(key)
         if cached is not None:
             return cached
-        if fm.modalities(child) <= self._AABAR:
-            result = any(
-                self._element_check(child, d) == want
-                for d in self.index.elements(state, direction is Direction.FORWARD)
-            )
-        else:
-            result = any(
-                self.check(budget, child, t) == want
-                for t in unravel(self.k, state, budget, direction)
-            )
+        # the child contains started-by (else ``check`` took the element
+        # path), so its truth depends on more than the element
+        result = any(
+            self.check(budget, child, t) == want
+            for t in unravel(self.k, state, budget, direction)
+        )
         self.endpoint_memo[key] = result
         return result
 
@@ -245,9 +264,12 @@ def mod_check(
 ) -> Verdict:
     """Check the formula against every initial track of the structure.
 
-    Returns a verdict with a falsifying initial representative when the
-    property fails.  ``max_tau`` refuses runs whose representative length
-    bound exceeds the given ceiling.
+    At started-by depth 0 the initial state's witnessed elements are checked
+    in ``(internal, v_in, v_fin)`` order, and a violation comes with the
+    shortest track realizing the first violating element.  At depth 1 and
+    more the initial representatives are walked, and a violation comes with
+    the first falsifying one.  ``max_tau`` refuses runs whose representative
+    length bound exceeds the given ceiling.
     """
     g = fm.normalize(f)
     _require_fragment(g)
@@ -258,6 +280,12 @@ def mod_check(
             f"representative length bound {bound} exceeds the ceiling {max_tau}"
         )
     checker = _Checker(structure)
+    if depth == 0:
+        table = checker.index.table(structure.initial, True)
+        for d in table.elements():
+            if not checker._element_check(g, d):
+                return Verdict(False, table.realize(d))
+        return Verdict(True)
     for rep in unravel(structure, structure.initial, depth, Direction.FORWARD):
         if not checker.check(depth, g, rep):
             return Verdict(False, rep)

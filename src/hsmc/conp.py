@@ -71,6 +71,7 @@ class _Table:
         self.parent: dict[tuple[int, int], tuple[int, int] | None] = {}
         # boundary state (fin when forward, first when backward) -> internal masks
         self.masks_by_boundary: dict[int, list[int]] = {}
+        self._elements: tuple[DescriptorElement, ...] | None = None
         queue: deque[tuple[int, int]] = deque()
         if forward:
             for w in structure.successors(anchor):
@@ -106,19 +107,23 @@ class _Table:
             return False
         return (element.v_in, element.internal) in self.parent
 
-    def elements(self) -> list[DescriptorElement]:
-        if self.forward:
-            out = [
-                DescriptorElement(self.anchor, mask, fin)
-                for mask, fin in self.parent
-            ]
-        else:
-            out = [
-                DescriptorElement(first, mask, self.anchor)
-                for first, mask in self.parent
-            ]
-        out.sort(key=lambda d: (d.internal, d.v_in, d.v_fin))
-        return out
+    def elements(self) -> tuple[DescriptorElement, ...]:
+        """The witnessed elements in (internal, v_in, v_fin) order, sorted
+        on the first call and kept."""
+        if self._elements is None:
+            if self.forward:
+                out = [
+                    DescriptorElement(self.anchor, mask, fin)
+                    for mask, fin in self.parent
+                ]
+            else:
+                out = [
+                    DescriptorElement(first, mask, self.anchor)
+                    for first, mask in self.parent
+                ]
+            out.sort(key=lambda d: (d.internal, d.v_in, d.v_fin))
+            self._elements = tuple(out)
+        return self._elements
 
     def realize(self, element: DescriptorElement) -> Track:
         """A track of length at most 2 + |W|^2 realizing the element."""
@@ -152,7 +157,7 @@ class WitnessIndex:
             self._tables[key] = _Table(self.k, anchor, forward)
         return self._tables[key]
 
-    def elements(self, anchor: int, forward: bool) -> list[DescriptorElement]:
+    def elements(self, anchor: int, forward: bool) -> tuple[DescriptorElement, ...]:
         return self.table(anchor, forward).elements()
 
 

@@ -44,71 +44,99 @@ _MODALITY_BY_NAME = {m.value: m for m in Modality}
 
 
 class Formula:
-    """Base class for formula nodes.  All nodes are immutable and hashable."""
+    """Base class for formula nodes.  All nodes are immutable and hashable.
+
+    A node's hash is computed once, from its class and its fields, when the
+    node is built; the engines' memo tables then hash a subformula in
+    constant time instead of walking its subtree.  Equality stays
+    structural.
+    """
 
     __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((type(self).__name__, self._values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between
+        # processes, so a pickled hash would be stale
+        return type(self), self._values()
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass formula node that keeps the base class's cached
+    hash (``dataclass`` would otherwise generate a hash over the fields)."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(Formula):
     mod: Modality
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     mod: Modality
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ModPower(Formula):
     """Sugar: ``<B>^n x`` or ``[B]^n x``; the exponent is a literal or a
     bound conjunction index."""
@@ -119,7 +147,7 @@ class ModPower(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class BigAnd(Formula):
     """Sugar: ``AND i=lo..hi ( body )`` with the index usable in exponents."""
 

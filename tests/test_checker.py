@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+import hsmc.formula as fm
 from hsmc import (
     FragmentError,
     OracleConfig,
+    Track,
     build_bk_descriptor,
     check,
+    descriptor_element,
     mod_check,
     nest_b,
     normalize,
@@ -14,7 +17,9 @@ from hsmc import (
     oracle_mod_check,
     parse_formula,
 )
+from hsmc.checker import _Checker
 from hsmc.errors import ResourceLimitError
+from hsmc.oracle import _chains_from, _chains_into
 
 from corpus import (
     pair_free_stats,
@@ -76,18 +81,58 @@ def test_counterexample_is_refutable_by_oracle(k2):
 
 
 def test_agrees_with_oracle_on_random_instances():
-    rng = random.Random(51)
-    tested = 0
-    while tested < 40:
-        structure = random_structure(rng)
-        formula = random_checker_formula(rng, list(structure.propositions))
-        g = normalize(formula)
-        stats = pair_free_stats(structure, nest_b(g), cap_count=20_000)
-        if stats is None or stats[0] > 9:
-            continue
-        config = OracleConfig(depth_bound=stats[0] + 1)
-        assert mod_check(structure, g).holds == oracle_mod_check(structure, g, config)
-        tested += 1
+    # the max_nest=0 batch keeps <Bi>/<Ei> on the element path
+    for seed, max_nest in ((51, 2), (53, 0)):
+        rng = random.Random(seed)
+        tested = 0
+        while tested < 40:
+            structure = random_structure(rng)
+            formula = random_checker_formula(
+                rng, list(structure.propositions), max_nest=max_nest
+            )
+            g = normalize(formula)
+            stats = pair_free_stats(structure, nest_b(g), cap_count=20_000)
+            if stats is None or stats[0] > 9:
+                continue
+            config = OracleConfig(depth_bound=stats[0] + 1)
+            verdict = mod_check(structure, g)
+            assert verdict.holds == oracle_mod_check(structure, g, config)
+            if not verdict.holds:
+                assert verdict.counterexample.fst == structure.initial
+                assert not oracle_eval(structure, verdict.counterexample, g, config)
+            tested += 1
+
+
+def test_inverse_clauses_relate_exactly_the_extension_elements():
+    # <Bi>/<Ei> on an element range over the elements of every right/left
+    # extension, brute-forced up to the longest pair-free track
+    rng = random.Random(54)
+    for _ in range(100):
+        structure = random_structure(rng, max_states=3)
+        limit = pair_free_stats(structure, 0)[0]
+        checker = _Checker(structure)
+        for _ in range(3):
+            t = random_walk(rng, structure, rng.randint(2, 5))
+            d = descriptor_element(t)
+            right = {
+                descriptor_element(Track(t.states + u))
+                for u in _chains_from(structure, t.lst, limit)
+            }
+            left = {
+                descriptor_element(Track(u + t.states))
+                for u in _chains_into(structure, t.fst, limit)
+            }
+            assert set(checker._related(fm.Modality.BBAR, d)) == right, t
+            assert set(checker._related(fm.Modality.EBAR, d)) == left, t
+
+
+def test_depth_zero_mod_check_walks_no_stream(mutex, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("depth-0 mod_check walked the representative stream")
+
+    monkeypatch.setattr("hsmc.checker.unravel", refuse)
+    for text in ("[A](r0 -> <A>e0 | <A><A>e0)", "x0 -> <Bi>x0"):
+        assert mod_check(mutex, parse_formula(text)).holds, text
 
 
 def test_equal_descriptors_give_equal_verdicts():
