@@ -29,24 +29,6 @@ from .errors import FragmentError, ResourceLimitError
 from .kripke import KripkeStructure, Track
 from .unravel import Direction, unravel
 
-REPRESENTATIVE_FRAGMENTS = frozenset(
-    {
-        fm.FragmentClass.PROP,
-        fm.FragmentClass.AABAR,
-        fm.FragmentClass.AABAR_BBAR_EBAR,
-        fm.FragmentClass.AABAR_B_BBAR_EBAR,
-    }
-)
-
-_REPRESENTATIVE_MODALITIES = frozenset(
-    {
-        fm.Modality.A,
-        fm.Modality.ABAR,
-        fm.Modality.B,
-        fm.Modality.BBAR,
-        fm.Modality.EBAR,
-    }
-)
 
 @dataclass
 class Verdict:
@@ -57,7 +39,7 @@ class Verdict:
 def _require_fragment(f: fm.Formula) -> None:
     # anything built from meets/met-by/started-by and the two inverses works
     # here; finishes must go to the counterexample or oracle engines
-    extra = fm.modalities(f) - _REPRESENTATIVE_MODALITIES
+    extra = fm.modalities(f) - fm.REPRESENTATIVE_MODALITIES
     if extra:
         names = ", ".join(sorted(m.value for m in extra))
         raise FragmentError(
@@ -180,7 +162,6 @@ class _Checker:
                 child, track.fst, Direction.BACKWARD, budget, want
             )
         if f.mod is M.B:
-            assert budget >= 1, "started-by under exhausted nesting budget"
             found = any(
                 self.check(budget - 1, child, p) == want for p in track.prefixes()
             )
@@ -269,16 +250,12 @@ def mod_check(
     shortest track realizing the first violating element.  At depth 1 and
     more the initial representatives are walked, and a violation comes with
     the first falsifying one.  ``max_tau`` refuses runs whose representative
-    length bound exceeds the given ceiling.
+    length bound exceeds the given ceiling; depth-0 runs walk no stream and
+    are never refused.
     """
     g = fm.normalize(f)
     _require_fragment(g)
     depth = fm.nest_b(g)
-    bound = tau(structure.n_states, depth)
-    if max_tau is not None and bound > max_tau:
-        raise ResourceLimitError(
-            f"representative length bound {bound} exceeds the ceiling {max_tau}"
-        )
     checker = _Checker(structure)
     if depth == 0:
         table = checker.index.table(structure.initial, True)
@@ -286,6 +263,11 @@ def mod_check(
             if not checker._element_check(g, d):
                 return Verdict(False, table.realize(d))
         return Verdict(True)
+    bound = tau(structure.n_states, depth)
+    if max_tau is not None and bound > max_tau:
+        raise ResourceLimitError(
+            f"representative length bound {bound} exceeds the ceiling {max_tau}"
+        )
     for rep in unravel(structure, structure.initial, depth, Direction.FORWARD):
         if not checker.check(depth, g, rep):
             return Verdict(False, rep)

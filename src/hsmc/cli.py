@@ -8,7 +8,6 @@ Exit codes: 0 the property holds (or the track satisfies the formula),
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import warnings
@@ -37,19 +36,13 @@ def _load_formula(path: str) -> fm.Formula:
         return fm.parse_formula(handle.read())
 
 
-def _max_tau(args: argparse.Namespace) -> int:
-    if args.max_tau is not None:
-        return args.max_tau
-    env = os.environ.get("HSMC_MAX_TAU")
-    return int(env) if env else DEFAULT_MAX_TAU
-
-
-def _pick_engine(cls: fm.FragmentClass, requested: str) -> str:
+def _pick_engine(f: fm.Formula, requested: str) -> str:
     if requested != "auto":
         return requested
+    cls = fm.classify(f)
     if cls in (fm.FragmentClass.PROP, fm.FragmentClass.FORALL_AABE):
         return "conp"
-    if cls in checker.REPRESENTATIVE_FRAGMENTS:
+    if fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES:
         return "representative"
     raise HsmcError(
         f"no engine handles {cls.value} formulas; rerun with --engine oracle"
@@ -60,17 +53,15 @@ def _cmd_check(args: argparse.Namespace, out) -> int:
     structure = _load_model(args.model)
     raw = _load_formula(args.formula)
     normalized = fm.normalize(raw)
-    cls = fm.classify(normalized)
     config = oracle.OracleConfig(depth_bound=args.depth)
 
     if args.track is not None:
         track = structure.track(args.track)
-        mods = fm.modalities(normalized)
         engine = args.engine
         if engine == "auto":
             engine = (
                 "representative"
-                if mods <= fm.BASIC_MODALITIES - {fm.Modality.E}
+                if fm.modalities(normalized) <= fm.REPRESENTATIVE_MODALITIES
                 else "oracle"
             )
         if engine == "representative":
@@ -84,10 +75,10 @@ def _cmd_check(args: argparse.Namespace, out) -> int:
         out.write(f"result: {'holds' if holds else 'violated'}\n")
         return EXIT_HOLDS if holds else EXIT_VIOLATED
 
-    engine = _pick_engine(cls, args.engine)
+    engine = _pick_engine(normalized, args.engine)
     counterexample: str | None = None
     if engine == "representative":
-        verdict = checker.mod_check(structure, normalized, max_tau=_max_tau(args))
+        verdict = checker.mod_check(structure, normalized, max_tau=args.max_tau)
         holds = verdict.holds
         if verdict.counterexample is not None:
             counterexample = structure.track_str(verdict.counterexample)
@@ -236,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--track", help="check against this one track instead")
     check.add_argument("--depth", type=int, default=12, help="oracle depth bound")
-    check.add_argument("--max-tau", type=int, default=None)
+    check.add_argument(
+        "--max-tau", type=int, default=DEFAULT_MAX_TAU, help="tau ceiling at depth >= 1"
+    )
     check.add_argument("--verify-with-oracle", action="store_true")
     check.set_defaults(run=_cmd_check)
 

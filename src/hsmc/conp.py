@@ -60,8 +60,12 @@ class _Table:
 
     Forward: elements of tracks starting at the anchor, closed under
     extending a realization by one edge.  Backward: elements of tracks
-    ending at the anchor, closed under prepending.  Breadth-first order
-    keeps every realization within the quadratic length bound.
+    ending at the anchor, closed under prepending.  One breadth-first walk
+    over ``(internal mask, boundary)`` keys serves both; the boundary is
+    the final state going forward and the first state going backward, so
+    only the neighbour function and the element's orientation depend on
+    the direction.  Breadth-first order keeps every realization within the
+    quadratic length bound.
     """
 
     def __init__(self, structure: KripkeStructure, anchor: int, forward: bool):
@@ -69,75 +73,57 @@ class _Table:
         self.anchor = anchor
         self.forward = forward
         self.parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-        # boundary state (fin when forward, first when backward) -> internal masks
         self.masks_by_boundary: dict[int, list[int]] = {}
         self._elements: tuple[DescriptorElement, ...] | None = None
+        neighbours = structure.successors if forward else structure.predecessors
         queue: deque[tuple[int, int]] = deque()
-        if forward:
-            for w in structure.successors(anchor):
-                self._add((0, w), None, queue)
-        else:
-            for u in structure.predecessors(anchor):
-                self._add((u, 0), None, queue)
+        for w in neighbours(anchor):
+            self._add((0, w), None, queue)
         while queue:
             item = queue.popleft()
-            if forward:
-                mask, fin = item
-                for nxt in structure.successors(fin):
-                    self._add((mask | 1 << fin, nxt), item, queue)
-            else:
-                first, mask = item
-                for prv in structure.predecessors(first):
-                    self._add((prv, mask | 1 << first), item, queue)
+            mask, boundary = item
+            for nxt in neighbours(boundary):
+                self._add((mask | 1 << boundary, nxt), item, queue)
 
     def _add(self, key, parent, queue) -> None:
         if key not in self.parent:
             self.parent[key] = parent
             queue.append(key)
-            boundary = key[1] if self.forward else key[0]
-            mask = key[0] if self.forward else key[1]
-            self.masks_by_boundary.setdefault(boundary, []).append(mask)
+            self.masks_by_boundary.setdefault(key[1], []).append(key[0])
+
+    def _key(self, element: DescriptorElement) -> tuple[int, int] | None:
+        if self.forward:
+            anchor, boundary = element.v_in, element.v_fin
+        else:
+            anchor, boundary = element.v_fin, element.v_in
+        return (element.internal, boundary) if anchor == self.anchor else None
 
     def has(self, element: DescriptorElement) -> bool:
-        if self.forward:
-            if element.v_in != self.anchor:
-                return False
-            return (element.internal, element.v_fin) in self.parent
-        if element.v_fin != self.anchor:
-            return False
-        return (element.v_in, element.internal) in self.parent
+        return self._key(element) in self.parent
 
     def elements(self) -> tuple[DescriptorElement, ...]:
         """The witnessed elements in (internal, v_in, v_fin) order, sorted
         on the first call and kept."""
         if self._elements is None:
-            if self.forward:
-                out = [
-                    DescriptorElement(self.anchor, mask, fin)
-                    for mask, fin in self.parent
-                ]
-            else:
-                out = [
-                    DescriptorElement(first, mask, self.anchor)
-                    for first, mask in self.parent
-                ]
+            out = [
+                DescriptorElement(self.anchor, mask, boundary)
+                if self.forward
+                else DescriptorElement(boundary, mask, self.anchor)
+                for mask, boundary in self.parent
+            ]
             out.sort(key=lambda d: (d.internal, d.v_in, d.v_fin))
             self._elements = tuple(out)
         return self._elements
 
     def realize(self, element: DescriptorElement) -> Track:
         """A track of length at most 2 + |W|^2 realizing the element."""
-        key = (
-            (element.internal, element.v_fin)
-            if self.forward
-            else (element.v_in, element.internal)
-        )
+        key = self._key(element)
         if key not in self.parent:
             raise KeyError(f"element {element} is not witnessed at this anchor")
         hops = []
         cursor: tuple[int, int] | None = key
         while cursor is not None:
-            hops.append(cursor[1] if self.forward else cursor[0])
+            hops.append(cursor[1])
             cursor = self.parent[cursor]
         if self.forward:
             return Track((self.anchor, *reversed(hops)))
@@ -313,22 +299,18 @@ def check_exists(
 ) -> bool:
     """Whether some track realizing the element satisfies the existential-
     fragment formula."""
-    g = fm.normalize(f)
-    if not fm.matches_exists_grammar(g):
-        raise FragmentError(
-            f"check_exists expects an existential-fragment formula, got {fm.classify(g).value}"
-        )
-    return _Search(structure).search(g, element) is not None
+    return exists_witness(structure, f, element) is not None
 
 
 def exists_witness(
     structure: KripkeStructure, f: fm.Formula, element: DescriptorElement
 ) -> Track | None:
-    """Like check_exists but assembling the witnessing track."""
+    """A track realizing the element on which the existential-fragment
+    formula holds, or None."""
     g = fm.normalize(f)
     if not fm.matches_exists_grammar(g):
         raise FragmentError(
-            f"check_exists expects an existential-fragment formula, got {fm.classify(g).value}"
+            f"expected an existential-fragment formula, got {fm.classify(g).value}"
         )
     return _Search(structure).search(g, element)
 

@@ -40,6 +40,10 @@ BASIC_MODALITIES = frozenset(
     {Modality.A, Modality.ABAR, Modality.B, Modality.BBAR, Modality.E, Modality.EBAR}
 )
 
+# the fragment of the representative engine (A Ai B Bi Ei): its checker, the
+# CLI routing and the oracle's exactness warning all read it from here
+REPRESENTATIVE_MODALITIES = BASIC_MODALITIES - {Modality.E}
+
 _MODALITY_BY_NAME = {m.value: m for m in Modality}
 
 

@@ -183,13 +183,7 @@ class _Oracle:
 def _warn_if_bound_insufficient(
     structure: KripkeStructure, f: fm.Formula, config: OracleConfig
 ) -> None:
-    cls = fm.classify(f)
-    if cls in (
-        fm.FragmentClass.PROP,
-        fm.FragmentClass.AABAR,
-        fm.FragmentClass.AABAR_BBAR_EBAR,
-        fm.FragmentClass.AABAR_B_BBAR_EBAR,
-    ):
+    if fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES:
         needed = tau(structure.n_states, fm.nest_b(f))
         if config.depth_bound < needed:
             warnings.warn(

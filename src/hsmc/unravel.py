@@ -86,11 +86,14 @@ def unravel(
 class _Detector:
     """Incremental detection of the pruning condition along a growing track.
 
-    For depth >= 1 it keeps, per run of Type-2 elements, the array index each
-    element last reached in the scan; a new occurrence of an element at index
-    t is exactly (t+1)-indistinguishable from its previous one, and every
-    element sitting above the new index is pulled down to it.  For depth 0 it
-    keeps the set of elements seen so far.
+    It keeps, per run of Type-2 elements, the array index each element last
+    reached in the scan; a new occurrence of an element at index t is
+    exactly (t+1)-indistinguishable from its previous one, and every element
+    sitting above the new index is pulled down to it.  A new occurrence is
+    refused when t reaches the depth.  The rule holds at depth 0 too: every
+    element enters a run at index -1 and a repeat reaches index 0, so
+    exactly the repeated elements are refused (only Type-2 elements can
+    repeat, and only within their run).
     """
 
     def __init__(self, depth: int, root: int):
@@ -98,7 +101,6 @@ class _Detector:
         self.states = [root]
         self.masks: list[int] = []  # internal-state mask per sequence position
         self.run: dict[int, int] | None = None  # v_fin -> array index
-        self.seen: set[tuple[int, int]] = set()  # depth 0: (mask, v_fin) pairs
         self.journal: list[list[tuple]] = []
 
     def try_push(self, state: int) -> bool:
@@ -110,33 +112,24 @@ class _Detector:
             else self.masks[-1] | (1 << self.states[-1])
         )
         ops: list[tuple] = []
-        if self.depth == 0:
-            key = (mask, state)
-            if key in self.seen:
-                return False
-            self.seen.add(key)
-            ops.append(("seen", key))
+        if not mask >> state & 1:  # a Type-1 element ends the run
+            if self.run is not None:
+                ops.append(("run", self.run))
+                self.run = None
+        elif self.run is None:
+            ops.append(("run", None))
+            self.run = {state: -1}
         else:
-            type2 = bool(mask >> state & 1)
-            if not type2:
-                if self.run is not None:
-                    ops.append(("run", self.run))
-                    self.run = None
-            else:
-                if self.run is None:
-                    ops.append(("run", None))
-                    self.run = {state: -1}
-                else:
-                    old = self.run.get(state)
-                    z = -1 if old is None else old + 1
-                    if z >= self.depth:
-                        return False
-                    for fin, b in self.run.items():
-                        if b > z:
-                            ops.append(("bucket", fin, b))
-                            self.run[fin] = z
-                    ops.append(("bucket", state, old))
-                    self.run[state] = z
+            old = self.run.get(state)
+            z = -1 if old is None else old + 1
+            if z >= self.depth:
+                return False
+            for fin, b in self.run.items():
+                if b > z:
+                    ops.append(("bucket", fin, b))
+                    self.run[fin] = z
+            ops.append(("bucket", state, old))
+            self.run[state] = z
         self.states.append(state)
         self.masks.append(mask)
         self.journal.append(ops)
@@ -149,9 +142,7 @@ class _Detector:
         self.states.pop()
         self.masks.pop()
         for op in reversed(self.journal.pop()):
-            if op[0] == "seen":
-                self.seen.discard(op[1])
-            elif op[0] == "run":
+            if op[0] == "run":
                 self.run = op[1]
             else:
                 _, fin, old = op

@@ -72,6 +72,9 @@ def test_rejects_finishes_modality(k2):
 def test_max_tau_guard(k2):
     with pytest.raises(ResourceLimitError):
         mod_check(k2, parse_formula("<B>T"), max_tau=10)
+    # depth 0 walks no stream, so the ceiling (tau(2, 0) = 84) does not apply
+    verdict = mod_check(k2, parse_formula("[A](p | q)"), max_tau=10)
+    assert not verdict.holds
 
 
 def test_counterexample_is_refutable_by_oracle(k2):

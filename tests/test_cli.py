@@ -88,21 +88,26 @@ def test_check_verify_with_oracle(files):
     assert code == 1
 
 
-def test_check_max_tau_guard(files):
+def test_check_max_tau_guard(files, capsys):
     model = files("m.txt", K2_TEXT)
     formula = files("f.txt", "<B>T\n")
     code, _ = _run(
         ["check", "--model", model, "--formula", formula, "--max-tau", "10"]
     )
     assert code == 2
+    assert "exceeds the ceiling 10" in capsys.readouterr().err
+    # the ceiling bounds stream walks only; depth 0 walks none
+    flat = files("g.txt", "[A](p | q)\n")
+    code, _ = _run(["check", "--model", model, "--formula", flat, "--max-tau", "10"])
+    assert code == 1
 
 
-def test_check_respects_env_ceiling(files, monkeypatch):
+def test_check_routes_existential_started_by_to_representative(files):
     model = files("m.txt", K2_TEXT)
-    formula = files("f.txt", "<B>T\n")
-    monkeypatch.setenv("HSMC_MAX_TAU", "10")
-    code, _ = _run(["check", "--model", model, "--formula", formula])
-    assert code == 2
+    formula = files("f.txt", "<B>p\n")
+    code, out = _run(["check", "--model", model, "--formula", formula])
+    assert code == 1
+    assert out == "result: violated\nCE: v0 v0\n"
 
 
 def test_counterexample_command(files):

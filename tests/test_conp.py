@@ -24,7 +24,7 @@ from hsmc import (
 from hsmc.oracle import all_tracks
 
 from corpus import random_forall_formula, random_structure, random_walk
-from hsmc.conp import val
+from hsmc.conp import _Table, val
 
 
 def _element(k, vin, inner, vfin):
@@ -83,6 +83,24 @@ def test_witnessed_elements_match_bounded_enumeration():
                 if t.lst == anchor
             }
             assert bwd == brute_b
+
+
+def test_masks_by_boundary_index_the_elements():
+    # the split search reads masks_by_boundary; it must list, per boundary
+    # state (final going forward, first going backward), the internal masks
+    # of exactly the witnessed elements with that boundary
+    rng = random.Random(63)
+    for _ in range(15):
+        k = random_structure(rng, max_states=3)
+        for anchor in range(k.n_states):
+            for forward in (True, False):
+                table = _Table(k, anchor, forward)
+                want: dict[int, list[int]] = {}
+                for d in table.elements():
+                    boundary = d.v_fin if forward else d.v_in
+                    want.setdefault(boundary, []).append(d.internal)
+                got = {b: sorted(masks) for b, masks in table.masks_by_boundary.items()}
+                assert got == {b: sorted(masks) for b, masks in want.items()}
 
 
 def test_witnessed_elements_mutex_membership(mutex):

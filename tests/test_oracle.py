@@ -123,7 +123,8 @@ def test_bound_warning(k2):
 
     from hsmc.errors import BoundWarning
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        oracle_eval(k2, k2.track("v0 v1"), parse_formula("<A>p"), OracleConfig(5))
-    assert any(issubclass(w.category, BoundWarning) for w in caught)
+    for text in ("<A>p", "<B>p"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            oracle_eval(k2, k2.track("v0 v1"), parse_formula(text), OracleConfig(5))
+        assert any(issubclass(w.category, BoundWarning) for w in caught)
