@@ -55,9 +55,11 @@ class _Checker:
     the element's states, meets/met-by read the witnessed elements anchored
     at an endpoint, and the inverse started-by/finishes read the elements of
     the one-state extensions and of the concatenations with witnessed
-    elements.  Only subformulas with started-by look at the track itself;
-    their results are cached per (track, subformula, budget), and
-    meets/met-by results per (endpoint, subformula, budget).
+    elements.  Element results are cached per (subformula, element), and
+    the meets/met-by ones per (subformula, endpoint).  Only subformulas with
+    started-by look at the track itself; their results are cached per
+    (track, subformula, budget), and the meets/met-by ones per (endpoint,
+    subformula, budget).
     """
 
     def __init__(self, structure: KripkeStructure):
@@ -65,6 +67,7 @@ class _Checker:
         self.index = WitnessIndex(structure)
         self.endpoint_memo: dict[tuple, bool] = {}
         self.element_memo: dict[tuple, bool] = {}
+        self.element_endpoint_memo: dict[tuple, bool] = {}
         self.track_memo: dict[tuple, bool] = {}
 
     def check(self, budget: int, f: fm.Formula, track: Track) -> bool:
@@ -97,27 +100,54 @@ class _Checker:
             )
         elif isinstance(f, (fm.Diamond, fm.Box)):
             want = isinstance(f, fm.Diamond)
-            found = any(
-                self._element_check(f.child, d) == want
-                for d in self._related(f.mod, element)
-            )
+            if f.mod is fm.Modality.A:
+                found = self._element_anchored(f.child, want, element.v_fin, True)
+            elif f.mod is fm.Modality.ABAR:
+                found = self._element_anchored(f.child, want, element.v_in, False)
+            else:
+                found = any(
+                    self._element_check(f.child, d) == want
+                    for d in self._related(f.mod, element)
+                )
             result = want == found
         else:
             result = val(f, element, self.k)
         self.element_memo[key] = result
         return result
 
+    def initial_elements_verdict(self, f: fm.Formula) -> Verdict:
+        """Check a started-by-free formula on the initial state's witnessed
+        elements in ``(internal, v_in, v_fin)`` order; a violation comes
+        with the shortest track realizing the first violating element."""
+        table = self.index.table(self.k.initial, True)
+        for d in table.elements():
+            if not self._element_check(f, d):
+                return Verdict(False, table.realize(d))
+        return Verdict(True)
+
+    def _element_anchored(
+        self, child: fm.Formula, want: bool, anchor: int, forward: bool
+    ) -> bool:
+        """Whether some element witnessed from (forward) or into ``anchor``
+        has ``child == want``: the meets/met-by answer, shared by every
+        element with that endpoint."""
+        key = (child, want, anchor, forward)
+        cached = self.element_endpoint_memo.get(key)
+        if cached is None:
+            cached = any(
+                self._element_check(child, d) == want
+                for d in self.index.elements(anchor, forward)
+            )
+            self.element_endpoint_memo[key] = cached
+        return cached
+
     def _related(
         self, mod: fm.Modality, d: DescriptorElement
     ) -> Iterator[DescriptorElement]:
-        """The elements of the tracks a modality relates to a track with
-        element ``d``, possibly repeated."""
+        """The elements of the tracks an inverse started-by/finishes
+        relates to a track with element ``d``, possibly repeated."""
         M = fm.Modality
-        if mod is M.A:
-            yield from self.index.elements(d.v_fin, True)
-        elif mod is M.ABAR:
-            yield from self.index.elements(d.v_in, False)
-        elif mod is M.BBAR:
+        if mod is M.BBAR:
             # t.v, then t followed by a track from v
             for v in self.k.successors(d.v_fin):
                 yield DescriptorElement(d.v_in, d.internal | 1 << d.v_fin, v)
@@ -258,11 +288,7 @@ def mod_check(
     depth = fm.nest_b(g)
     checker = _Checker(structure)
     if depth == 0:
-        table = checker.index.table(structure.initial, True)
-        for d in table.elements():
-            if not checker._element_check(g, d):
-                return Verdict(False, table.realize(d))
-        return Verdict(True)
+        return checker.initial_elements_verdict(g)
     bound = tau(structure.n_states, depth)
     if max_tau is not None and bound > max_tau:
         raise ResourceLimitError(

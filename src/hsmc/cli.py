@@ -12,7 +12,7 @@ import random
 import sys
 import warnings
 
-from . import checker, conp, oracle, reductions
+from . import automaton, checker, conp, oracle, reductions
 from . import descriptor as ds
 from . import formula as fm
 from .errors import BoundWarning, HsmcError
@@ -36,17 +36,28 @@ def _load_formula(path: str) -> fm.Formula:
         return fm.parse_formula(handle.read())
 
 
+def _track_engine(f: fm.Formula) -> str | None:
+    """The engine that decides the formula on tracks, if any: the automaton
+    unless some <Ei>/[Ei] has a started-by child, then the representatives."""
+    if automaton.in_fragment(f):
+        return "automaton"
+    if fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES:
+        return "representative"
+    return None
+
+
 def _pick_engine(f: fm.Formula, requested: str) -> str:
     if requested != "auto":
         return requested
     cls = fm.classify(f)
     if cls in (fm.FragmentClass.PROP, fm.FragmentClass.FORALL_AABE):
         return "conp"
-    if fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES:
-        return "representative"
-    raise HsmcError(
-        f"no engine handles {cls.value} formulas; rerun with --engine oracle"
-    )
+    engine = _track_engine(f)
+    if engine is None:
+        raise HsmcError(
+            f"no engine handles {cls.value} formulas; rerun with --engine oracle"
+        )
+    return engine
 
 
 def _cmd_check(args: argparse.Namespace, out) -> int:
@@ -59,26 +70,29 @@ def _cmd_check(args: argparse.Namespace, out) -> int:
         track = structure.track(args.track)
         engine = args.engine
         if engine == "auto":
-            engine = (
-                "representative"
-                if fm.modalities(normalized) <= fm.REPRESENTATIVE_MODALITIES
-                else "oracle"
-            )
-        if engine == "representative":
+            engine = _track_engine(normalized) or "oracle"
+        if engine == "automaton":
+            holds = automaton.check(structure, normalized, track)
+        elif engine == "representative":
             holds = checker.check(structure, fm.nest_b(normalized), normalized, track)
         elif engine == "oracle":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", BoundWarning)
                 holds = oracle.oracle_eval(structure, track, normalized, config)
         else:
-            raise HsmcError("per-track checking needs the representative or oracle engine")
+            raise HsmcError(
+                "per-track checking needs the automaton, representative or oracle engine"
+            )
         out.write(f"result: {'holds' if holds else 'violated'}\n")
         return EXIT_HOLDS if holds else EXIT_VIOLATED
 
     engine = _pick_engine(normalized, args.engine)
     counterexample: str | None = None
-    if engine == "representative":
-        verdict = checker.mod_check(structure, normalized, max_tau=args.max_tau)
+    if engine in ("automaton", "representative"):
+        if engine == "automaton":
+            verdict = automaton.mod_check(structure, normalized)
+        else:
+            verdict = checker.mod_check(structure, normalized, max_tau=args.max_tau)
         holds = verdict.holds
         if verdict.counterexample is not None:
             counterexample = structure.track_str(verdict.counterexample)
@@ -222,13 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--formula", required=True)
     check.add_argument(
         "--engine",
-        choices=("auto", "representative", "conp", "oracle"),
+        choices=("auto", "automaton", "representative", "conp", "oracle"),
         default="auto",
     )
     check.add_argument("--track", help="check against this one track instead")
     check.add_argument("--depth", type=int, default=12, help="oracle depth bound")
     check.add_argument(
-        "--max-tau", type=int, default=DEFAULT_MAX_TAU, help="tau ceiling at depth >= 1"
+        "--max-tau",
+        type=int,
+        default=DEFAULT_MAX_TAU,
+        help="tau ceiling of the representative engine at depth >= 1",
     )
     check.add_argument("--verify-with-oracle", action="store_true")
     check.set_defaults(run=_cmd_check)

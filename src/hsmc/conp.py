@@ -31,13 +31,9 @@ def val(f: fm.Formula, element: DescriptorElement, structure: KripkeStructure) -
     if isinstance(f, fm.Prop):
         if f.name not in structure.propositions:
             return False
-        mask = structure.prop_mask(f.name)
-        joint = structure.label_mask(element.v_in) & structure.label_mask(
-            element.v_fin
-        )
-        for s in element.internal_states():
-            joint &= structure.label_mask(s)
-        return bool(joint & mask)
+        joint = structure.joint_label_mask(element.internal)
+        joint &= structure.label_mask(element.v_in) & structure.label_mask(element.v_fin)
+        return bool(joint & structure.prop_mask(f.name))
     if isinstance(f, fm.Not):
         return not val(f.child, element, structure)
     if isinstance(f, fm.And):

@@ -141,6 +141,8 @@ class KripkeStructure:
             if n not in self._index:
                 raise ModelError(f"label for unknown state {n!r}")
         self._label_masks = tuple(masks)
+        # state-set mask -> AND of its states' label masks, filled on demand
+        self._joint_labels: dict[int, int] = {}
 
         succ: list[set[int]] = [set() for _ in names]
         pred: list[set[int]] = [set() for _ in names]
@@ -231,6 +233,19 @@ class KripkeStructure:
 
     def label_mask(self, state: int) -> int:
         return self._label_masks[state]
+
+    def joint_label_mask(self, states: int) -> int:
+        """The AND of the label masks of the states in a state-set mask
+        (all bits set for the empty set), cached per mask."""
+        joint = self._joint_labels.get(states)
+        if joint is None:
+            joint, rest = -1, states
+            while rest:
+                low = rest & -rest
+                joint &= self._label_masks[low.bit_length() - 1]
+                rest ^= low
+            self._joint_labels[states] = joint
+        return joint
 
     def label_set(self, state: int) -> frozenset[str]:
         return self.mask_to_props(self._label_masks[state])

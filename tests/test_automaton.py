@@ -1,0 +1,166 @@
+import random
+
+import pytest
+
+import hsmc.formula as fm
+from hsmc import (
+    FragmentError,
+    OracleConfig,
+    automaton,
+    check,
+    mod_check,
+    nest_b,
+    normalize,
+    oracle_eval,
+    oracle_mod_check,
+    parse_formula,
+)
+
+from corpus import pair_free_stats, random_checker_formula, random_structure, random_walk
+
+
+def _instances(seed, max_states, max_nest, count):
+    """Seeded (structure, formula, oracle config) triples at started-by depth
+    >= 1 inside the automaton's fragment, small enough for the
+    representative engine and an exact oracle."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        structure = random_structure(rng, max_states=max_states)
+        g = normalize(
+            random_checker_formula(rng, list(structure.propositions), max_nest=max_nest)
+        )
+        if nest_b(g) < 1 or not automaton.in_fragment(g):
+            continue
+        stats = pair_free_stats(structure, nest_b(g), cap_count=20_000)
+        if stats is None or stats[0] > 9:
+            continue
+        out.append((structure, g, OracleConfig(depth_bound=stats[0] + 1)))
+    return out
+
+
+@pytest.mark.parametrize("seed,max_states,max_nest", [(61, 3, 2), (62, 4, 3)])
+def test_agrees_with_representative_engine_and_oracle(seed, max_states, max_nest):
+    violated = 0
+    for structure, g, config in _instances(seed, max_states, max_nest, 60):
+        verdict = automaton.mod_check(structure, g)
+        assert verdict.holds == mod_check(structure, g).holds, g
+        assert verdict.holds == oracle_mod_check(structure, g, config), g
+        if not verdict.holds:
+            violated += 1
+            assert verdict.counterexample.fst == structure.initial
+            assert not oracle_eval(structure, verdict.counterexample, g, config)
+    assert violated >= 20  # both verdicts are exercised
+
+
+def test_track_check_agrees_with_representative_engine():
+    rng = random.Random(63)
+    for _ in range(150):
+        structure = random_structure(rng, max_states=3)
+        g = normalize(
+            random_checker_formula(rng, list(structure.propositions), max_nest=2)
+        )
+        if not automaton.in_fragment(g):
+            continue
+        for _ in range(4):
+            t = random_walk(rng, structure, rng.randint(2, 7))
+            assert automaton.check(structure, g, t) == check(
+                structure, nest_b(g), g, t
+            ), (g, t)
+
+
+def test_inverse_clauses_over_started_by_agree_with_representative_engine():
+    # <Ai>/<Bi> and their boxes over a started-by child, where the random
+    # formulas above rarely put them
+    rng = random.Random(65)
+    tested = 0
+    while tested < 40:
+        structure = random_structure(rng, max_states=3)
+        child = normalize(
+            random_checker_formula(rng, list(structure.propositions), max_nest=1)
+        )
+        if nest_b(child) < 1 or not automaton.in_fragment(child):
+            continue
+        tested += 1
+        for mod in (fm.Modality.ABAR, fm.Modality.BBAR):
+            for node in (fm.Diamond, fm.Box):
+                g = node(mod, child)
+                for _ in range(3):
+                    t = random_walk(rng, structure, rng.randint(2, 5))
+                    assert automaton.check(structure, g, t) == check(
+                        structure, nest_b(g), g, t
+                    ), (g, t)
+
+
+@pytest.mark.parametrize(
+    "track,formula,want",
+    [
+        # no proper prefix, but every right extension has one
+        ("v0 v1", "[Bi]<B>T", True),
+        ("v0 v1", "<Bi>[B]F", False),
+        ("v0 v0 v1", "<B>[B]F", True),
+        # <Ai> looks at the tracks ending at v0, such as v1 v1 v0; every
+        # prefix of a track starting at v0 fails q
+        ("v0 v1", "<Ai>(<B>T & [B]q)", True),
+        ("v1 v0", "<A>(<B>T & [B]q)", False),
+    ],
+)
+def test_k2_track_verdicts(k2, track, formula, want):
+    assert automaton.check(k2, parse_formula(formula), k2.track(track)) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[A]T & <A>T",
+        "[Ai]T & <Ai>T",
+        "[A](<B>T | [B]F) & <A>(<B>T | [B]F)",
+        "[Ai](<B>T | [B]F) & <Ai>(<B>T | [B]F)",
+    ],
+)
+def test_meets_results_are_cached_per_diamond_and_box(k2, text):
+    # the box asks for a track where the child fails, the diamond for one
+    # where it holds: one endpoint, two answers
+    f = parse_formula(text)
+    assert automaton.mod_check(k2, f).holds
+    assert mod_check(k2, f).holds
+
+
+def test_memo_entries_are_masked_to_scope(fig4, k2):
+    # a subformula is read on its state masked to its own scope, so states
+    # that differ only in bits it does not read share one memo entry
+    for structure, text in (
+        (fig4, "[B](<A>T -> [A]<B>T) | <Bi>[B]<B>T"),
+        (k2, "[B]([B]p | <Ai>[B]q) & <Bi>(<B>q & [B][B]p)"),
+    ):
+        g = normalize(parse_formula(text))
+        auto = automaton._Automaton(structure, g)
+        for state in auto._reachable(auto.scopes[g]):
+            auto.holds(g, state)
+        assert auto.memo
+        for f, state in auto.memo:
+            assert state[3] & ~auto.scopes[f] == 0, (f, state)
+
+
+def test_fragment(k2):
+    out = normalize(parse_formula("<Ei><B>p"))
+    assert not automaton.in_fragment(out)
+    with pytest.raises(FragmentError):
+        automaton.mod_check(k2, out)
+    with pytest.raises(FragmentError):
+        automaton.mod_check(k2, parse_formula("<E>p"))
+    # <Ei> over a started-by-free child is element-level
+    assert automaton.in_fragment(normalize(parse_formula("<B><Ei>p")))
+
+
+def test_counterexamples_match_the_representative_engine(k2, fig4, sched):
+    for structure, text, ce in (
+        (fig4, "[B](<A>T -> [A]<B>T)", "v0 v0 v0"),
+        (sched, "[B]<Ai>T", "v0 v1 u1"),
+        (k2, "[B][B][B]F", "v0 v0 v0 v0 v0"),
+        (k2, "<B>(<A>p & <B>(<A>p & <B><A>p))", "v0 v0"),
+    ):
+        f = parse_formula(text)
+        verdict = automaton.mod_check(structure, f)
+        assert structure.track_str(verdict.counterexample) == ce
+        assert verdict.counterexample == mod_check(structure, f).counterexample

@@ -91,8 +91,11 @@ def test_check_verify_with_oracle(files):
 def test_check_max_tau_guard(files, capsys):
     model = files("m.txt", K2_TEXT)
     formula = files("f.txt", "<B>T\n")
+    # the ceiling bounds the representative engine; auto routes <B>T to the
+    # automaton, which walks no representative
     code, _ = _run(
-        ["check", "--model", model, "--formula", formula, "--max-tau", "10"]
+        ["check", "--model", model, "--formula", formula, "--max-tau", "10",
+         "--engine", "representative"]
     )
     assert code == 2
     assert "exceeds the ceiling 10" in capsys.readouterr().err
@@ -108,6 +111,46 @@ def test_check_routes_existential_started_by_to_representative(files):
     code, out = _run(["check", "--model", model, "--formula", formula])
     assert code == 1
     assert out == "result: violated\nCE: v0 v0\n"
+
+
+def test_check_decides_started_by_probes_on_the_automaton(files, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the representative stream was walked")
+
+    monkeypatch.setattr("hsmc.checker.unravel", refuse)
+    for text, fixture in (("[B][B]<A>T", FIG4_TEXT), ("<B><A>e0 | [A]T", MUTEX_TEXT)):
+        model = files("m.txt", fixture)
+        formula = files("f.txt", text + "\n")
+        code, out = _run(["check", "--model", model, "--formula", formula])
+        assert (code, out) == (0, "result: holds\n"), text
+
+
+def test_check_routes_ei_over_started_by_to_representative(files, monkeypatch, k2):
+    def refuse(*args, **kwargs):
+        raise AssertionError("routed to the automaton")
+
+    monkeypatch.setattr("hsmc.automaton.mod_check", refuse)
+    model = files("m.txt", K2_TEXT)
+    text = "[A]<Ei>[B]q"
+    formula = files("f.txt", text + "\n")
+    code, _ = _run(["check", "--model", model, "--formula", formula])
+    assert code == 1
+    assert not hsmc.oracle_mod_check(k2, parse_formula(text), hsmc.OracleConfig(8))
+    monkeypatch.undo()
+    code, _ = _run(
+        ["check", "--model", model, "--formula", formula, "--engine", "automaton"]
+    )
+    assert code == 2
+
+
+def test_check_automaton_engine_at_depth_zero(files):
+    model = files("m.txt", MUTEX_TEXT)
+    formula = files("f.txt", "[A](r0 -> [A](e0 | (!r0 & !r1 & !e0 & !e1)))\n")
+    outputs = {
+        engine: _run(["check", "--model", model, "--formula", formula, "--engine", engine])
+        for engine in ("auto", "automaton", "representative")
+    }
+    assert set(outputs.values()) == {(1, "result: violated\nCE: w0 w1\n")}
 
 
 def test_counterexample_command(files):
