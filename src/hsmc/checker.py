@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import formula as fm
-from .conp import WitnessIndex, concat_descr, val
+from .conp import Kernels, WitnessIndex, concat_descr
 from .descriptor import DescriptorElement, descriptor_element, tau
 from .errors import FragmentError, ResourceLimitError
 from .kripke import KripkeStructure, Track
@@ -51,7 +51,8 @@ class _Checker:
     """One checking session over one structure.
 
     A subformula without started-by is decided on the track's descriptor
-    element alone (``_element_check``): its propositions read the labels of
+    element alone (``_element_check``): a propositional kernel goes whole to
+    the session's ``Kernels``, which decide it once per joint label mask of
     the element's states, meets/met-by read the witnessed elements anchored
     at an endpoint, and the inverse started-by/finishes read the elements of
     the one-state extensions and of the concatenations with witnessed
@@ -65,6 +66,7 @@ class _Checker:
     def __init__(self, structure: KripkeStructure):
         self.k = structure
         self.index = WitnessIndex(structure)
+        self.kernels = Kernels(structure)
         self.endpoint_memo: dict[tuple, bool] = {}
         self.element_memo: dict[tuple, bool] = {}
         self.element_endpoint_memo: dict[tuple, bool] = {}
@@ -84,6 +86,8 @@ class _Checker:
 
     def _element_check(self, f: fm.Formula, element: DescriptorElement) -> bool:
         """Evaluate a started-by-free formula on a descriptor element."""
+        if fm.is_propositional(f):
+            return self.kernels.holds(f, element)
         key = (f, element)
         cached = self.element_memo.get(key)
         if cached is not None:
@@ -111,7 +115,7 @@ class _Checker:
                 )
             result = want == found
         else:
-            result = val(f, element, self.k)
+            raise FragmentError("the checker needs a normalized formula")
         self.element_memo[key] = result
         return result
 

@@ -223,15 +223,7 @@ def _cmd_gen(args: argparse.Namespace, out) -> int:
     return EXIT_HOLDS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hsmc",
-        description="Model checking of interval temporal logic fragments "
-        "over finite Kripke structures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="decide whether the model satisfies a formula")
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("--model", required=True)
     check.add_argument("--formula", required=True)
     check.add_argument(
@@ -250,22 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--verify-with-oracle", action="store_true")
     check.set_defaults(run=_cmd_check)
 
-    cex = sub.add_parser(
-        "counterexample", help="search for a violating initial track"
-    )
+
+def _counterexample_arguments(cex: argparse.ArgumentParser) -> None:
     cex.add_argument("--model", required=True)
     cex.add_argument("--formula", required=True)
     cex.set_defaults(run=_cmd_counterexample)
 
-    desc = sub.add_parser(
-        "descriptors", help="dump the descriptor sequence of a track"
-    )
+
+def _descriptors_arguments(desc: argparse.ArgumentParser) -> None:
     desc.add_argument("--model", required=True)
     desc.add_argument("--track", required=True)
     desc.add_argument("--k", type=int, default=1)
     desc.set_defaults(run=_cmd_descriptors)
 
-    unr = sub.add_parser("unravel", help="stream track representatives")
+
+def _unravel_arguments(unr: argparse.ArgumentParser) -> None:
     unr.add_argument("--model", required=True)
     unr.add_argument("--state", required=True)
     unr.add_argument("--k", type=int, required=True)
@@ -273,14 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     unr.add_argument("--limit", type=int, default=None)
     unr.set_defaults(run=_cmd_unravel)
 
-    orc = sub.add_parser("oracle", help="brute-force check with a depth bound")
+
+def _oracle_arguments(orc: argparse.ArgumentParser) -> None:
     orc.add_argument("--model", required=True)
     orc.add_argument("--formula", required=True)
     orc.add_argument("--depth", type=int, default=12)
     orc.add_argument("--track", default=None)
     orc.set_defaults(run=_cmd_oracle)
 
-    gen = sub.add_parser("gen", help="generate reduction instances")
+
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     gen_qbf = gen_sub.add_parser("qbf")
     gen_qbf.add_argument("--vars", type=int, required=True)
@@ -294,12 +287,46 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sat.add_argument("--out", required=True, help="output path prefix")
     gen_sat.set_defaults(run=_cmd_gen, kind="sat")
 
+
+# subcommand: (help line, builder of its arguments), in help order
+_COMMANDS = {
+    "check": ("decide whether the model satisfies a formula", _check_arguments),
+    "counterexample": (
+        "search for a violating initial track",
+        _counterexample_arguments,
+    ),
+    "descriptors": (
+        "dump the descriptor sequence of a track",
+        _descriptors_arguments,
+    ),
+    "unravel": ("stream track representatives", _unravel_arguments),
+    "oracle": ("brute-force check with a depth bound", _oracle_arguments),
+    "gen": ("generate reduction instances", _gen_arguments),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with ``only``, it knows that one subcommand
+    and none of the others, which is all a request naming it needs."""
+    parser = argparse.ArgumentParser(
+        prog="hsmc",
+        description="Model checking of interval temporal logic fragments "
+        "over finite Kripke structures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        if only is None or name == only:
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a request that names a subcommand builds only that one; a bare,
+    # --help or unknown command gets the full parser and its usage
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(only)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes

@@ -20,27 +20,92 @@ from .kripke import KripkeStructure, Track
 from .descriptor import DescriptorElement
 
 
+def _compile(f: fm.Formula, structure: KripkeStructure, positive: bool = True):
+    """A test on an element's joint label mask J that decides the pure
+    propositional formula (its negation when not ``positive``).
+
+    Negations are pushed to the letters, and each maximal ``&``/``|`` chain
+    is flattened: its letters fold into a mask of positive and a mask of
+    negated letters, so a conjunction needs ``J & pos == pos`` and no bit of
+    ``J & neg``, and a disjunction ``J & pos`` or ``~J & neg``.  A letter
+    the structure lacks is false.
+    """
+    while isinstance(f, fm.Not):
+        f, positive = f.child, not positive
+    conj = isinstance(f, fm.And) == positive
+    pos = neg = 0
+    tests = []
+    decided = None
+    todo = [(f, positive)]
+    while todo:
+        g, p = todo.pop()
+        while isinstance(g, fm.Not):
+            g, p = g.child, not p
+        if isinstance(g, (fm.And, fm.Or)):
+            if (isinstance(g, fm.And) == p) == conj:
+                todo += ((g.right, p), (g.left, p))
+            else:
+                tests.append(_compile(g, structure, p))
+            continue
+        if isinstance(g, fm.Prop) and g.name in structure.propositions:
+            if p:
+                pos |= structure.prop_mask(g.name)
+            else:
+                neg |= structure.prop_mask(g.name)
+            continue
+        if isinstance(g, fm.Top):
+            truth = p
+        elif isinstance(g, (fm.Bottom, fm.Prop)):
+            truth = not p
+        else:
+            raise FragmentError("val is defined on pure propositional formulas only")
+        if truth != conj:
+            # a true letter decides a disjunction, a false one a conjunction;
+            # the rest of the chain is still read, so a modality raises
+            decided = truth
+    if decided is not None:
+        return lambda joint: decided
+    if conj:
+        return lambda joint: (
+            joint & pos == pos and not joint & neg and all(t(joint) for t in tests)
+        )
+    return lambda joint: bool(joint & pos or ~joint & neg) or any(
+        t(joint) for t in tests
+    )
+
+
+class Kernels:
+    """The propositional kernels of one checking session: each compiled
+    once to a test on the joint label mask J (the AND of the label masks of
+    an element's entry, internal and final states), its verdict cached per
+    J."""
+
+    def __init__(self, structure: KripkeStructure):
+        self.k = structure
+        self._kernels: dict[fm.Formula, tuple] = {}
+
+    def holds(self, f: fm.Formula, element: DescriptorElement) -> bool:
+        k = self.k
+        joint = (
+            k.joint_label_mask(element.internal)
+            & k.label_mask(element.v_in)
+            & k.label_mask(element.v_fin)
+        )
+        kernel = self._kernels.get(f)
+        if kernel is None:
+            kernel = self._kernels[f] = (_compile(f, k), {})
+        test, verdicts = kernel
+        verdict = verdicts.get(joint)
+        if verdict is None:
+            verdict = verdicts[joint] = test(joint)
+        return verdict
+
+
 def val(f: fm.Formula, element: DescriptorElement, structure: KripkeStructure) -> bool:
     """Evaluate a pure propositional formula on a descriptor element: a
     letter holds iff it labels the entry state, the final state, and every
     internal state."""
-    if isinstance(f, fm.Top):
-        return True
-    if isinstance(f, fm.Bottom):
-        return False
-    if isinstance(f, fm.Prop):
-        if f.name not in structure.propositions:
-            return False
-        joint = structure.joint_label_mask(element.internal)
-        joint &= structure.label_mask(element.v_in) & structure.label_mask(element.v_fin)
-        return bool(joint & structure.prop_mask(f.name))
-    if isinstance(f, fm.Not):
-        return not val(f.child, element, structure)
-    if isinstance(f, fm.And):
-        return val(f.left, element, structure) and val(f.right, element, structure)
-    if isinstance(f, fm.Or):
-        return val(f.left, element, structure) or val(f.right, element, structure)
-    raise FragmentError("val is defined on pure propositional formulas only")
+    return Kernels(structure).holds(f, element)
 
 
 def concat_descr(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElement:
@@ -175,6 +240,7 @@ class _Search:
     def __init__(self, structure: KripkeStructure, index: WitnessIndex | None = None):
         self.k = structure
         self.index = index or WitnessIndex(structure)
+        self.kernels = Kernels(structure)
         self.memo: dict[tuple[fm.Formula, DescriptorElement], Track | None] = {}
         self.sat_memo: dict[
             tuple[fm.Formula, int, bool], list[tuple[DescriptorElement, Track]]
@@ -193,7 +259,7 @@ class _Search:
 
     def _search(self, f: fm.Formula, d: DescriptorElement) -> Track | None:
         if fm.is_propositional(f):
-            return self._realize(d) if val(f, d, self.k) else None
+            return self._realize(d) if self.kernels.holds(f, d) else None
         if isinstance(f, fm.Or):
             return self.search(f.left, d) or self.search(f.right, d)
         if isinstance(f, fm.Diamond) and f.mod in _EXISTS_MODALITIES:

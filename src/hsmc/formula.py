@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FormulaError, FragmentError, ResourceLimitError
 
@@ -552,18 +551,26 @@ def normalize(f: Formula) -> Formula:
 # fragment analysis
 
 
-@lru_cache(maxsize=None)
 def modalities(f: Formula) -> frozenset[Modality]:
-    """The set of modalities occurring in a desugared formula."""
+    """The set of modalities occurring in a desugared formula, kept on the
+    node after the first call, as its hash is.  An equal but distinct tree
+    computes its own, so no lookup compares subtrees and nothing outlives
+    the formula."""
+    mods = f.__dict__.get("_modalities")
+    if mods is not None:
+        return mods
     if isinstance(f, (Top, Bottom, Prop)):
-        return frozenset()
-    if isinstance(f, Not):
-        return modalities(f.child)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return modalities(f.left) | modalities(f.right)
-    if isinstance(f, (Diamond, Box)):
-        return modalities(f.child) | {f.mod}
-    raise FormulaError("normalize the formula before fragment analysis")
+        mods = frozenset()
+    elif isinstance(f, Not):
+        mods = modalities(f.child)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        mods = modalities(f.left) | modalities(f.right)
+    elif isinstance(f, (Diamond, Box)):
+        mods = modalities(f.child) | {f.mod}
+    else:
+        raise FormulaError("normalize the formula before fragment analysis")
+    object.__setattr__(f, "_modalities", mods)
+    return mods
 
 
 def is_propositional(f: Formula) -> bool:

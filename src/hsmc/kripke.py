@@ -58,9 +58,6 @@ class Track:
     def lst(self) -> int:
         return self.states[-1]
 
-    def states_set(self) -> frozenset[int]:
-        return frozenset(self.states)
-
     def intstates(self) -> frozenset[int]:
         """States strictly between the endpoints (may include the endpoint values
         if they reoccur internally)."""

@@ -7,7 +7,7 @@ import pytest
 
 import hsmc
 from hsmc import parse_formula, parse_kripke
-from hsmc.cli import run
+from hsmc.cli import build_parser, run
 
 from conftest import FIG4_TEXT, K2_TEXT, MUTEX_TEXT, SCHED_TEXT
 
@@ -327,3 +327,28 @@ def test_bad_numeric_arguments_exit_code(files):
     assert code == 2
     code, _ = _run(["unravel", "--model", model, "--state", "nope", "--k", "0"])
     assert code == 2
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help()
+    for name in ("check", "counterexample", "descriptors", "unravel", "oracle", "gen"):
+        assert f"    {name} " in out
+
+
+def test_subcommand_parsers_exit_codes(capsys):
+    assert _run(["bogus"])[0] == 2
+    assert _run(["gen"])[0] == 2
+    assert _run([])[0] == 2
+    assert run(["check", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: hsmc check ")
+
+
+def test_run_reads_sys_argv(files, monkeypatch):
+    model = files("m.txt", K2_TEXT)
+    formula = files("f.txt", "[A]q\n")
+    monkeypatch.setattr(sys, "argv", ["hsmc", "check", "--model", model, "--formula", formula])
+    out = io.StringIO()
+    assert run(None, out=out) == 1
+    assert out.getvalue().splitlines()[0] == "result: violated"

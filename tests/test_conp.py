@@ -18,13 +18,20 @@ from hsmc import (
     provide_counterex,
     realize_element,
     to_exists_dual,
+    to_text,
     track_label,
     witnessed_elements,
 )
 from hsmc.oracle import all_tracks
 
-from corpus import random_forall_formula, random_structure, random_walk
-from hsmc.conp import _Table, val
+from corpus import (
+    random_checker_formula,
+    random_forall_formula,
+    random_structure,
+    random_walk,
+)
+from hsmc.checker import _Checker
+from hsmc.conp import Kernels, _Table, val
 
 
 def _element(k, vin, inner, vfin):
@@ -237,3 +244,44 @@ def test_propositional_counterexample_reads_back(k2):
     assert found is not None
     _, track = found
     assert "p" in track_label(k2, track)
+
+
+@pytest.mark.parametrize("name, count", [("k2", 60), ("mutex", 8)])
+def test_compiled_kernels_agree_with_oracle_on_every_witnessed_element(
+    request, name, count
+):
+    # "zz" labels no state, so it is false on every track
+    structure = request.getfixturevalue(name)
+    props = [*structure.propositions, "zz"]
+    rng = random.Random(65)
+    tracks = {
+        d: table.realize(d)
+        for table in (_Table(structure, a, True) for a in range(structure.n_states))
+        for d in table.elements()
+    }
+    session = Kernels(structure)
+    for _ in range(count):
+        f = random_checker_formula(rng, props, max_modalities=0)
+        for d, track in tracks.items():
+            want = oracle_eval(structure, track, f)
+            assert session.holds(f, d) == want, (to_text(f), d)
+            assert val(f, d, structure) == want
+
+
+def test_kernel_raises_on_modalities_after_a_deciding_letter(k2):
+    d = _element(k2, "v0", (), "v1")
+    for text in ("T | <A>p", "F & [A]q", "!(T | <B>p)"):
+        with pytest.raises(FragmentError):
+            val(parse_formula(text), d, k2)
+
+
+def test_element_check_sends_a_propositional_and_to_the_kernel_whole(mutex):
+    session = _Checker(mutex)
+    sent = []
+    holds = session.kernels.holds
+    session.kernels.holds = lambda f, d: sent.append(f) or holds(f, d)
+    f = normalize(parse_formula("r0 & (r1 | !e0) & !(x0 & e1)"))
+    d = _element(mutex, "w1", ("w3",), "w4")
+    track = _Table(mutex, d.v_in, True).realize(d)
+    assert session._element_check(f, d) == oracle_eval(mutex, track, f)
+    assert sent == [f]

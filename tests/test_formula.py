@@ -1,3 +1,7 @@
+import gc
+import io
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +39,10 @@ from hsmc.formula import (
     Or,
     Prop,
 )
+from hsmc.cli import run
 from hsmc.oracle import all_tracks
+
+from conftest import K2_TEXT
 
 
 def test_parse_nested_modalities():
@@ -244,3 +251,47 @@ def test_print_parse_round_trip_bound_indices():
 def test_expand_idempotent(f):
     once = expand(f)
     assert expand(once) == once
+
+
+def _cnf_text(clauses):
+    return " & ".join(
+        f"(p{i % 7} | !p{(i * 3 + 1) % 7} | p{(i * 5 + 2) % 7})" for i in range(clauses)
+    )
+
+
+def test_modalities_never_compare_equal_trees(monkeypatch):
+    # the modality set lives on each node, so a second, equal tree computes
+    # its own instead of matching the first one's cache entry field by field
+    first = normalize(parse_formula(_cnf_text(60)))
+    second = normalize(parse_formula(_cnf_text(60)))
+    assert first == second and first is not second
+
+    def refuse(self, other):
+        raise AssertionError("And.__eq__ ran")
+
+    monkeypatch.setattr(And, "__eq__", refuse)
+    assert fm.modalities(first) == frozenset()
+    assert fm.modalities(second) == frozenset()
+    assert fm.is_propositional(second)
+
+
+@pytest.mark.parametrize(
+    "text", ["[A](q | !p)", "[B]<A>p | <A>q", "[A](<B>T | [B]q)", "<Ai>p & [Bi]T"]
+)
+def test_no_formula_outlives_its_request(tmp_path, monkeypatch, text):
+    model = tmp_path / "m.txt"
+    model.write_text(K2_TEXT)
+    formula = tmp_path / "f.txt"
+    formula.write_text(text + "\n")
+    refs = []
+    normalize_ = fm.normalize
+
+    def tracked(f):
+        g = normalize_(f)
+        refs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(fm, "normalize", tracked)
+    run(["check", "--model", str(model), "--formula", str(formula)], out=io.StringIO())
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
