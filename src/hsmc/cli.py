@@ -313,7 +313,11 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         description="Model checking of interval temporal logic fragments "
         "over finite Kripke structures.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with ``only``, the metavar still names every subcommand, so the usage
+    # line an error prints is the full parser's; without it, argparse derives
+    # the same text and keeps naming the argument "command" in its errors
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_line, add_arguments) in _COMMANDS.items():
         if only is None or name == only:
             add_arguments(sub.add_parser(name, help=help_line))

@@ -329,12 +329,47 @@ def test_bad_numeric_arguments_exit_code(files):
     assert code == 2
 
 
-def test_help_lists_every_subcommand(capsys):
+_USAGE = "usage: hsmc [-h] {check,counterexample,descriptors,unravel,oracle,gen} ...\n"
+
+_HELP = _USAGE + """
+Model checking of interval temporal logic fragments over finite Kripke
+structures.
+
+positional arguments:
+  {check,counterexample,descriptors,unravel,oracle,gen}
+    check               decide whether the model satisfies a formula
+    counterexample      search for a violating initial track
+    descriptors         dump the descriptor sequence of a track
+    unravel             stream track representatives
+    oracle              brute-force check with a depth bound
+    gen                 generate reduction instances
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
     assert run(["--help"]) == 0
-    out = capsys.readouterr().out
-    assert out == build_parser().format_help()
-    for name in ("check", "counterexample", "descriptors", "unravel", "oracle", "gen"):
-        assert f"    {name} " in out
+    assert capsys.readouterr().out == _HELP
+
+
+def test_top_level_errors_print_the_full_usage(capsys, monkeypatch):
+    # a request naming one subcommand builds only that subparser, but an
+    # error the top-level parser reports still shows every subcommand
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(["check", "--model", "m", "--formula", "f", "--bogus"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == _USAGE + "hsmc: error: unrecognized arguments: --bogus\n"
+    assert err.startswith(build_parser().format_usage())
+    assert build_parser("check").format_usage() == build_parser().format_usage()
+    # the full parser still calls the argument "command" in its errors
+    run(["bogus"])
+    assert capsys.readouterr().err.startswith(
+        _USAGE + "hsmc: error: argument command: invalid choice: 'bogus'"
+    )
 
 
 def test_subcommand_parsers_exit_codes(capsys):
