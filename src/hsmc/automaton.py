@@ -1,13 +1,15 @@
 """Started-by formulas decided on a formula-driven prefix automaton.
 
 A track t is summarized by its product state ``(v_in, internal, v_fin,
-bits)``: its descriptor element, plus one bit per ``(child, want)`` pair of
-the formula -- one pair per ``<B>child`` (want true) and per ``[B]child``
-(want false).  A pair's bit is set when some proper prefix p of t has
-``child(p) == want``.  The proper prefixes of ``t·v`` are those of t and t
-itself, so the state of ``t·v`` is ``(v_in, internal | 1 << v_fin, v,
-bits')``, where ``bits'`` adds every pair that holds on t itself.  The state
-of a two-state track ``u·w`` is ``(u, 0, w, 0)``.
+joint, bits)``: its packed descriptor element (``conp.Element``, whose
+joint is the AND of the label masks of its states), plus one bit per
+``(child, want)`` pair of the formula -- one pair per ``<B>child`` (want
+true) and per ``[B]child`` (want false).  A pair's bit is set when some
+proper prefix p of t has ``child(p) == want``.  The proper prefixes of
+``t·v`` are those of t and t itself, so the state of ``t·v`` is ``(v_in,
+internal | 1 << v_fin, v, joint & label(v), bits')``, where ``bits'`` adds
+every pair that holds on t itself.  The state of a two-state track ``u·w``
+is ``(u, 0, w, label(u) & label(w), 0)``.
 
 By induction on the formula, a subformula has one truth value on all tracks
 that share a state:
@@ -46,12 +48,11 @@ from typing import Iterable, Iterator
 from . import checker
 from . import formula as fm
 from .checker import Verdict, _Checker
-from .descriptor import DescriptorElement
 from .errors import FragmentError
 from .kripke import KripkeStructure, Track
 
-# (v_in, internal mask, v_fin, pair bits)
-State = tuple[int, int, int, int]
+# (v_in, internal mask, v_fin, joint label mask, pair bits)
+State = tuple[int, int, int, int, int]
 
 
 def _ei_over_started_by(f: fm.Formula) -> bool:
@@ -129,12 +130,9 @@ class _Automaton:
     def holds(self, f: fm.Formula, state: State) -> bool:
         scope = self.scopes.get(f)
         if scope is None:  # no started-by: the descriptor element decides
-            v_in, internal, v_fin, _ = state
-            return self.elements._element_check(
-                f, DescriptorElement(v_in, internal, v_fin)
-            )
-        v_in, internal, v_fin, bits = state
-        state = (v_in, internal, v_fin, bits & scope)
+            return self.elements._element_check(f, state[:4])
+        v_in, internal, v_fin, joint, bits = state
+        state = (v_in, internal, v_fin, joint, bits & scope)
         key = (f, state)
         cached = self.memo.get(key)
         if cached is not None:
@@ -155,7 +153,7 @@ class _Automaton:
         want = isinstance(f, fm.Diamond)
         child = f.child
         if f.mod is M.B:
-            return bool(state[3] >> self.pair_bit[(child, want)] & 1) == want
+            return bool(state[4] >> self.pair_bit[(child, want)] & 1) == want
         if f.mod is M.A:
             found = self._anchored(child, want, state[2], True)
         elif f.mod is M.ABAR:
@@ -183,8 +181,7 @@ class _Automaton:
             return cached
         scope = self.scopes[child]
         if forward:
-            starts = [(anchor, 0, w, 0) for w in self.k.successors(anchor)]
-            states: Iterable[State] = self._bfs(starts, scope, {})
+            states: Iterable[State] = self._bfs(self._starts(anchor), scope, {})
         else:
             states = (s for s in self._reachable(scope) if s[2] == anchor)
         result = any(self.holds(child, s) == want for s in states)
@@ -194,11 +191,7 @@ class _Automaton:
     def _reachable(self, scope: int) -> tuple[State, ...]:
         """The states of every track of the structure, masked to ``scope``."""
         if scope not in self.reach_memo:
-            starts = [
-                (u, 0, w, 0)
-                for u in range(self.k.n_states)
-                for w in self.k.successors(u)
-            ]
+            starts = [s for u in range(self.k.n_states) for s in self._starts(u)]
             self.reach_memo[scope] = tuple(self._bfs(starts, scope, {}))
         return self.reach_memo[scope]
 
@@ -221,11 +214,17 @@ class _Automaton:
                     parent[nxt] = s
                     queue.append(nxt)
 
-    def _advance(self, state: State, scope: int) -> tuple[int, int, int]:
-        """``(v_in, internal, bits)`` of every one-state extension: the old
+    def _starts(self, u: int) -> list[State]:
+        """The states of the two-state tracks from ``u``."""
+        label = self.k.label_mask
+        return [(u, 0, w, label(u) & label(w), 0) for w in self.k.successors(u)]
+
+    def _advance(self, state: State, scope: int) -> tuple[int, int, int, int]:
+        """``(v_in, internal, joint, bits)`` of every one-state extension
+        before the new final state's label is added to the joint: the old
         final state turns internal and every pair of ``scope`` that holds on
         the track itself is added.  The state's bits lie within ``scope``."""
-        v_in, internal, v_fin, bits = state
+        v_in, internal, v_fin, joint, bits = state
         todo = scope & ~bits
         while todo:
             low = todo & -todo
@@ -233,11 +232,15 @@ class _Automaton:
             if self.holds(child, state) == want:
                 bits |= low
             todo ^= low
-        return v_in, internal | 1 << v_fin, bits
+        return v_in, internal | 1 << v_fin, joint, bits
 
     def _successors(self, state: State, scope: int) -> list[State]:
-        v_in, internal, bits = self._advance(state, scope)
-        return [(v_in, internal, v, bits) for v in self.k.successors(state[2])]
+        v_in, internal, joint, bits = self._advance(state, scope)
+        label = self.k.label_mask
+        return [
+            (v_in, internal, v, joint & label(v), bits)
+            for v in self.k.successors(state[2])
+        ]
 
 
 def _unwind(state: State, parent: dict) -> Track:
@@ -256,10 +259,11 @@ def check(structure: KripkeStructure, f: fm.Formula, track: Track) -> bool:
     _require_fragment(g)
     automaton = _Automaton(structure, g)
     scope = automaton.scopes.get(g, 0)
-    state = (track.fst, 0, track[1], 0)
+    label = structure.label_mask
+    state = (track.fst, 0, track[1], label(track.fst) & label(track[1]), 0)
     for v in track.states[2:]:
-        v_in, internal, bits = automaton._advance(state, scope)
-        state = (v_in, internal, v, bits)
+        v_in, internal, joint, bits = automaton._advance(state, scope)
+        state = (v_in, internal, v, joint & label(v), bits)
     return automaton.holds(g, state)
 
 
@@ -277,9 +281,8 @@ def mod_check(structure: KripkeStructure, f: fm.Formula) -> Verdict:
     automaton = _Automaton(structure, g)
     if g not in automaton.scopes:
         return automaton.elements.initial_elements_verdict(g)
-    init = structure.initial
     parent: dict[State, State | None] = {}
-    starts = [(init, 0, w, 0) for w in structure.successors(init)]
+    starts = automaton._starts(structure.initial)
     for state in automaton._bfs(starts, automaton.scopes[g], parent):
         if not automaton.holds(g, state):
             return Verdict(False, _unwind(state, parent))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import formula as fm
-from .conp import Kernels, WitnessIndex, concat_descr
-from .descriptor import DescriptorElement, descriptor_element, tau
+from .conp import Element, Kernels, WitnessIndex, _concat, pack
+from .descriptor import descriptor_element, tau
 from .errors import FragmentError, ResourceLimitError
 from .kripke import KripkeStructure, Track
 from .unravel import Direction, unravel
@@ -51,16 +51,17 @@ class _Checker:
     """One checking session over one structure.
 
     A subformula without started-by is decided on the track's descriptor
-    element alone (``_element_check``): a propositional kernel goes whole to
-    the session's ``Kernels``, which decide it once per joint label mask of
-    the element's states, meets/met-by read the witnessed elements anchored
-    at an endpoint, and the inverse started-by/finishes read the elements of
-    the one-state extensions and of the concatenations with witnessed
-    elements.  Element results are cached per (subformula, element), and
-    the meets/met-by ones per (subformula, endpoint).  Only subformulas with
-    started-by look at the track itself; their results are cached per
-    (track, subformula, budget), and the meets/met-by ones per (endpoint,
-    subformula, budget).
+    element alone (``_element_check``), packed as ``conp.Element`` with its
+    joint label mask: a propositional kernel goes whole to the session's
+    ``Kernels``, which decide it once per joint, meets/met-by read the
+    witnessed elements anchored at an endpoint (over a propositional child,
+    only their distinct joints), and the inverse started-by/finishes read
+    the elements of the one-state extensions and of the concatenations with
+    witnessed elements.  Element results are cached per (subformula,
+    element), and the meets/met-by ones per (subformula, endpoint).  Only
+    subformulas with started-by look at the track itself; their results are
+    cached per (track, subformula, budget), and the meets/met-by ones per
+    (endpoint, subformula, budget).
     """
 
     def __init__(self, structure: KripkeStructure):
@@ -75,7 +76,7 @@ class _Checker:
     def check(self, budget: int, f: fm.Formula, track: Track) -> bool:
         if fm.Modality.B not in fm.modalities(f):
             # truth only depends on the track's descriptor element
-            return self._element_check(f, descriptor_element(track))
+            return self._element_check(f, pack(self.k, descriptor_element(track)))
         key = (track.states, f, budget)
         cached = self.track_memo.get(key)
         if cached is not None:
@@ -84,8 +85,9 @@ class _Checker:
         self.track_memo[key] = result
         return result
 
-    def _element_check(self, f: fm.Formula, element: DescriptorElement) -> bool:
-        """Evaluate a started-by-free formula on a descriptor element."""
+    def _element_check(self, f: fm.Formula, element: Element) -> bool:
+        """Evaluate a started-by-free formula on a packed descriptor
+        element."""
         if fm.is_propositional(f):
             return self.kernels.holds(f, element)
         key = (f, element)
@@ -105,9 +107,9 @@ class _Checker:
         elif isinstance(f, (fm.Diamond, fm.Box)):
             want = isinstance(f, fm.Diamond)
             if f.mod is fm.Modality.A:
-                found = self._element_anchored(f.child, want, element.v_fin, True)
+                found = self._element_anchored(f.child, want, element[2], True)
             elif f.mod is fm.Modality.ABAR:
-                found = self._element_anchored(f.child, want, element.v_in, False)
+                found = self._element_anchored(f.child, want, element[0], False)
             else:
                 found = any(
                     self._element_check(f.child, d) == want
@@ -134,34 +136,41 @@ class _Checker:
     ) -> bool:
         """Whether some element witnessed from (forward) or into ``anchor``
         has ``child == want``: the meets/met-by answer, shared by every
-        element with that endpoint."""
+        element with that endpoint.  A propositional child only reads the
+        joint, so it is read once per distinct joint of the table."""
         key = (child, want, anchor, forward)
         cached = self.element_endpoint_memo.get(key)
         if cached is None:
-            cached = any(
-                self._element_check(child, d) == want
-                for d in self.index.elements(anchor, forward)
-            )
+            table = self.index.table(anchor, forward)
+            if fm.is_propositional(child):
+                cached = any(
+                    self.kernels.on_joint(child, joint) == want
+                    for joint in table.joints()
+                )
+            else:
+                cached = any(
+                    self._element_check(child, d) == want for d in table.elements()
+                )
             self.element_endpoint_memo[key] = cached
         return cached
 
-    def _related(
-        self, mod: fm.Modality, d: DescriptorElement
-    ) -> Iterator[DescriptorElement]:
-        """The elements of the tracks an inverse started-by/finishes
+    def _related(self, mod: fm.Modality, d: Element) -> Iterator[Element]:
+        """The packed elements of the tracks an inverse started-by/finishes
         relates to a track with element ``d``, possibly repeated."""
         M = fm.Modality
+        v_in, internal, v_fin, joint = d
+        label = self.k.label_mask
         if mod is M.BBAR:
             # t.v, then t followed by a track from v
-            for v in self.k.successors(d.v_fin):
-                yield DescriptorElement(d.v_in, d.internal | 1 << d.v_fin, v)
+            for v in self.k.successors(v_fin):
+                yield (v_in, internal | 1 << v_fin, v, joint & label(v))
                 for e in self.index.elements(v, True):
-                    yield concat_descr(d, e)
+                    yield _concat(d, e)
         elif mod is M.EBAR:
-            for u in self.k.predecessors(d.v_in):
-                yield DescriptorElement(u, d.internal | 1 << d.v_in, d.v_fin)
+            for u in self.k.predecessors(v_in):
+                yield (u, internal | 1 << v_in, v_fin, joint & label(u))
                 for e in self.index.elements(u, False):
-                    yield concat_descr(e, d)
+                    yield _concat(e, d)
         else:
             raise FragmentError(
                 f"the representative engine cannot handle <{mod.value}> formulas"

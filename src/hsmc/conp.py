@@ -8,11 +8,18 @@ by composing witnessed elements, trying for started-by both the drop-one-
 state decomposition and the two-piece split.  The search is a deterministic
 exhaustive rendering of the underlying guess-and-verify procedure, with the
 accepting choices replayed to assemble a concrete violating track.
+
+Inside this module and the checker's element path an element is packed as
+an ``Element`` tuple that carries its joint label mask: the table walk
+builds the joint at one ``&`` per key, and a propositional kernel reads the
+joint alone.  The public functions take and return ``DescriptorElement``
+and convert at the boundary.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from . import formula as fm
 from .errors import FragmentError
@@ -74,6 +81,27 @@ def _compile(f: fm.Formula, structure: KripkeStructure, positive: bool = True):
     )
 
 
+# A descriptor element as the engines carry it: (v_in, internal mask,
+# v_fin, joint), where joint is the AND of the label masks of all of its
+# states.  The joint is a function of the other three fields, so packed
+# elements hash and compare as the triples do.
+Element = tuple[int, int, int, int]
+
+
+def pack(structure: KripkeStructure, d: DescriptorElement) -> Element:
+    """The packed form of a descriptor element of the structure."""
+    joint = (
+        structure.joint_label_mask(d.internal)
+        & structure.label_mask(d.v_in)
+        & structure.label_mask(d.v_fin)
+    )
+    return (d.v_in, d.internal, d.v_fin, joint)
+
+
+def unpack(element: Element) -> DescriptorElement:
+    return DescriptorElement(element[0], element[1], element[2])
+
+
 class Kernels:
     """The propositional kernels of one checking session: each compiled
     once to a test on the joint label mask J (the AND of the label masks of
@@ -84,16 +112,13 @@ class Kernels:
         self.k = structure
         self._kernels: dict[fm.Formula, tuple] = {}
 
-    def holds(self, f: fm.Formula, element: DescriptorElement) -> bool:
-        k = self.k
-        joint = (
-            k.joint_label_mask(element.internal)
-            & k.label_mask(element.v_in)
-            & k.label_mask(element.v_fin)
-        )
+    def holds(self, f: fm.Formula, element: Element) -> bool:
+        return self.on_joint(f, element[3])
+
+    def on_joint(self, f: fm.Formula, joint: int) -> bool:
         kernel = self._kernels.get(f)
         if kernel is None:
-            kernel = self._kernels[f] = (_compile(f, k), {})
+            kernel = self._kernels[f] = (_compile(f, self.k), {})
         test, verdicts = kernel
         verdict = verdicts.get(joint)
         if verdict is None:
@@ -105,7 +130,13 @@ def val(f: fm.Formula, element: DescriptorElement, structure: KripkeStructure) -
     """Evaluate a pure propositional formula on a descriptor element: a
     letter holds iff it labels the entry state, the final state, and every
     internal state."""
-    return Kernels(structure).holds(f, element)
+    return Kernels(structure).holds(f, pack(structure, element))
+
+
+def _concat(e1: Element, e2: Element) -> Element:
+    """The element of a track realizing e1 followed by one realizing e2."""
+    internal = e1[1] | (1 << e1[2]) | (1 << e2[0]) | e2[1]
+    return (e1[0], internal, e2[2], e1[3] & e2[3])
 
 
 def concat_descr(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElement:
@@ -127,6 +158,11 @@ class _Table:
     only the neighbour function and the element's orientation depend on
     the direction.  Breadth-first order keeps every realization within the
     quadratic length bound.
+
+    The walk carries each key's joint label mask: extending a realization
+    by a state turns the old boundary internal, whose label is already in
+    the joint, and adds the new boundary's label, one ``&`` per key.  The
+    elements come out packed, ``(v_in, internal, v_fin, joint)``.
     """
 
     def __init__(self, structure: KripkeStructure, anchor: int, forward: bool):
@@ -134,50 +170,73 @@ class _Table:
         self.anchor = anchor
         self.forward = forward
         self.parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.masks_by_boundary: dict[int, list[int]] = {}
-        self._elements: tuple[DescriptorElement, ...] | None = None
+        self.joint: dict[tuple[int, int], int] = {}
+        self._elements: tuple[Element, ...] | None = None
+        self._joints: tuple[int, ...] | None = None
         neighbours = structure.successors if forward else structure.predecessors
+        labels = [structure.label_mask(v) for v in range(structure.n_states)]
+        parent, joints = self.parent, self.joint
         queue: deque[tuple[int, int]] = deque()
         for w in neighbours(anchor):
-            self._add((0, w), None, queue)
+            key = (0, w)
+            if key not in parent:
+                parent[key] = None
+                joints[key] = labels[anchor] & labels[w]
+                queue.append(key)
         while queue:
             item = queue.popleft()
             mask, boundary = item
+            mask |= 1 << boundary
+            joint = joints[item]
             for nxt in neighbours(boundary):
-                self._add((mask | 1 << boundary, nxt), item, queue)
+                key = (mask, nxt)
+                if key not in parent:
+                    parent[key] = item
+                    joints[key] = joint & labels[nxt]
+                    queue.append(key)
 
-    def _add(self, key, parent, queue) -> None:
-        if key not in self.parent:
-            self.parent[key] = parent
-            queue.append(key)
-            self.masks_by_boundary.setdefault(key[1], []).append(key[0])
+    @cached_property
+    def masks_by_boundary(self) -> dict[int, list[int]]:
+        """The internal masks of the witnessed elements, per boundary."""
+        by_boundary: dict[int, list[int]] = {}
+        for mask, boundary in self.parent:
+            by_boundary.setdefault(boundary, []).append(mask)
+        return by_boundary
 
-    def _key(self, element: DescriptorElement) -> tuple[int, int] | None:
+    def _key(self, element) -> tuple[int, int] | None:
         if self.forward:
-            anchor, boundary = element.v_in, element.v_fin
+            anchor, boundary = element[0], element[2]
         else:
-            anchor, boundary = element.v_fin, element.v_in
-        return (element.internal, boundary) if anchor == self.anchor else None
+            anchor, boundary = element[2], element[0]
+        return (element[1], boundary) if anchor == self.anchor else None
 
-    def has(self, element: DescriptorElement) -> bool:
-        return self._key(element) in self.parent
+    def find(self, v_in: int, internal: int, v_fin: int) -> Element | None:
+        """The packed element if it is witnessed at this anchor."""
+        joint = self.joint.get(self._key((v_in, internal, v_fin)))
+        return None if joint is None else (v_in, internal, v_fin, joint)
 
-    def elements(self) -> tuple[DescriptorElement, ...]:
+    def elements(self) -> tuple[Element, ...]:
         """The witnessed elements in (internal, v_in, v_fin) order, sorted
         on the first call and kept."""
         if self._elements is None:
-            out = [
-                DescriptorElement(self.anchor, mask, boundary)
-                if self.forward
-                else DescriptorElement(boundary, mask, self.anchor)
-                for mask, boundary in self.parent
-            ]
-            out.sort(key=lambda d: (d.internal, d.v_in, d.v_fin))
+            a = self.anchor
+            keys = sorted(self.joint.items())
+            if self.forward:
+                out = [(a, mask, b, joint) for (mask, b), joint in keys]
+            else:
+                out = [(b, mask, a, joint) for (mask, b), joint in keys]
             self._elements = tuple(out)
         return self._elements
 
-    def realize(self, element: DescriptorElement) -> Track:
-        """A track of length at most 2 + |W|^2 realizing the element."""
+    def joints(self) -> tuple[int, ...]:
+        """The distinct joint label masks of the witnessed elements."""
+        if self._joints is None:
+            self._joints = tuple(dict.fromkeys(self.joint.values()))
+        return self._joints
+
+    def realize(self, element) -> Track:
+        """A track of length at most 2 + |W|^2 realizing the element, given
+        packed or as a ``(v_in, internal, v_fin)`` triple."""
         key = self._key(element)
         if key not in self.parent:
             raise KeyError(f"element {element} is not witnessed at this anchor")
@@ -204,7 +263,7 @@ class WitnessIndex:
             self._tables[key] = _Table(self.k, anchor, forward)
         return self._tables[key]
 
-    def elements(self, anchor: int, forward: bool) -> tuple[DescriptorElement, ...]:
+    def elements(self, anchor: int, forward: bool) -> tuple[Element, ...]:
         return self.table(anchor, forward).elements()
 
 
@@ -213,7 +272,7 @@ def witnessed_elements(
 ) -> frozenset[DescriptorElement]:
     """All descriptor elements realized by some track starting (ending) at
     the anchor when forward (backward)."""
-    return frozenset(_Table(structure, anchor, forward).elements())
+    return frozenset(map(unpack, _Table(structure, anchor, forward).elements()))
 
 
 def realize_element(
@@ -222,7 +281,8 @@ def realize_element(
     element: DescriptorElement,
     forward: bool = True,
 ) -> Track:
-    return _Table(structure, anchor, forward).realize(element)
+    triple = (element.v_in, element.internal, element.v_fin)
+    return _Table(structure, anchor, forward).realize(triple)
 
 
 _EXISTS_MODALITIES = (
@@ -234,19 +294,18 @@ _EXISTS_MODALITIES = (
 
 
 class _Search:
-    """Memoized existential search: for (subformula, element) produce a track
-    realizing the element on which the subformula holds, or None."""
+    """Memoized existential search: for (subformula, packed element)
+    produce a track realizing the element on which the subformula holds, or
+    None."""
 
     def __init__(self, structure: KripkeStructure, index: WitnessIndex | None = None):
         self.k = structure
         self.index = index or WitnessIndex(structure)
         self.kernels = Kernels(structure)
-        self.memo: dict[tuple[fm.Formula, DescriptorElement], Track | None] = {}
-        self.sat_memo: dict[
-            tuple[fm.Formula, int, bool], list[tuple[DescriptorElement, Track]]
-        ] = {}
+        self.memo: dict[tuple[fm.Formula, Element], Track | None] = {}
+        self.sat_memo: dict[tuple[fm.Formula, int, bool], list[tuple[Element, Track]]] = {}
 
-    def search(self, f: fm.Formula, d: DescriptorElement) -> Track | None:
+    def search(self, f: fm.Formula, d: Element) -> Track | None:
         key = (f, d)
         if key in self.memo:
             return self.memo[key]
@@ -254,26 +313,28 @@ class _Search:
         self.memo[key] = result
         return result
 
-    def _realize(self, d: DescriptorElement) -> Track:
-        return self.index.table(d.v_in, True).realize(d)
+    def _realize(self, d: Element) -> Track:
+        return self.index.table(d[0], True).realize(d)
 
-    def _search(self, f: fm.Formula, d: DescriptorElement) -> Track | None:
+    def _search(self, f: fm.Formula, d: Element) -> Track | None:
         if fm.is_propositional(f):
             return self._realize(d) if self.kernels.holds(f, d) else None
         if isinstance(f, fm.Or):
             return self.search(f.left, d) or self.search(f.right, d)
         if isinstance(f, fm.Diamond) and f.mod in _EXISTS_MODALITIES:
             M = fm.Modality
-            if f.mod is M.A:
-                for d2 in self.index.elements(d.v_fin, True):
-                    if self.search(f.child, d2) is not None:
-                        return self._realize(d)
-                return None
-            if f.mod is M.ABAR:
-                for d2 in self.index.elements(d.v_in, False):
-                    if self.search(f.child, d2) is not None:
-                        return self._realize(d)
-                return None
+            if f.mod in (M.A, M.ABAR):
+                forward = f.mod is M.A
+                table = self.index.table(d[2] if forward else d[0], forward)
+                if fm.is_propositional(f.child):
+                    found = any(
+                        self.kernels.on_joint(f.child, joint) for joint in table.joints()
+                    )
+                else:
+                    found = any(
+                        self.search(f.child, d2) is not None for d2 in table.elements()
+                    )
+                return self._realize(d) if found else None
             if f.mod is M.B:
                 return self._split_search(f.child, d, prefix=True)
             return self._split_search(f.child, d, prefix=False)
@@ -284,7 +345,7 @@ class _Search:
 
     def _satisfying(
         self, child: fm.Formula, anchor: int, forward: bool
-    ) -> list[tuple[DescriptorElement, Track]]:
+    ) -> list[tuple[Element, Track]]:
         """Witnessed elements at an anchor on which the subformula can be
         realized, with one realizing track each."""
         key = (child, anchor, forward)
@@ -297,58 +358,53 @@ class _Search:
             self.sat_memo[key] = out
         return self.sat_memo[key]
 
-    def _split_search(
-        self, child: fm.Formula, d: DescriptorElement, prefix: bool
-    ) -> Track | None:
+    def _split_search(self, child: fm.Formula, d: Element, prefix: bool) -> Track | None:
         """Realize a started-by (prefix=True) or finishes witness inside d:
         either the witness misses a single boundary state of d, or d splits
         into the witness's element joined to a second witnessed element."""
-        table = self.index.table(d.v_in, True) if prefix else self.index.table(d.v_fin, False)
+        v_in, internal, v_fin, _ = d
+        table = self.index.table(v_in, True) if prefix else self.index.table(v_fin, False)
         # drop-one-state case: the removed boundary state must come from d's
         # internal set, and the witness's internal set covers the rest
-        for boundary in sorted(d.internal_states()):
-            if prefix and not self.k.has_edge(boundary, d.v_fin):
+        rest = internal
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            boundary = low.bit_length() - 1
+            if prefix and not self.k.has_edge(boundary, v_fin):
                 continue
-            if not prefix and not self.k.has_edge(d.v_in, boundary):
+            if not prefix and not self.k.has_edge(v_in, boundary):
                 continue
-            for mask in sorted({d.internal & ~(1 << boundary), d.internal}):
+            for mask in sorted({internal & ~low, internal}):
                 d2 = (
-                    DescriptorElement(d.v_in, mask, boundary)
+                    table.find(v_in, mask, boundary)
                     if prefix
-                    else DescriptorElement(boundary, mask, d.v_fin)
+                    else table.find(boundary, mask, v_fin)
                 )
-                if table.has(d2):
+                if d2 is not None:
                     witness = self.search(child, d2)
                     if witness is not None:
                         if prefix:
-                            return Track(witness.states + (d.v_fin,))
-                        return Track((d.v_in,) + witness.states)
+                            return Track(witness.states + (v_fin,))
+                        return Track((v_in,) + witness.states)
         # split case: a witness piece joined to a second witnessed element
-        anchor = d.v_in if prefix else d.v_fin
+        anchor = v_in if prefix else v_fin
         for d2, witness in self._satisfying(child, anchor, prefix):
-            fixed_d2 = d2.internal | (1 << (d2.v_fin if prefix else d2.v_in))
-            if fixed_d2 & ~d.internal:
+            fixed_d2 = d2[1] | (1 << (d2[2] if prefix else d2[0]))
+            if fixed_d2 & ~internal:
                 continue  # the piece would stick out of d
-            joints = (
-                self.k.successors(d2.v_fin)
-                if prefix
-                else self.k.predecessors(d2.v_in)
-            )
-            for joint in joints:
-                if not d.internal >> joint & 1:
+            links = self.k.successors(d2[2]) if prefix else self.k.predecessors(d2[0])
+            for link in links:
+                if not internal >> link & 1:
                     continue
-                fixed = fixed_d2 | (1 << joint)
-                missing = d.internal & ~fixed
-                other_table = self.index.table(joint, prefix)
-                boundary = d.v_fin if prefix else d.v_in
+                fixed = fixed_d2 | (1 << link)
+                missing = internal & ~fixed
+                other_table = self.index.table(link, prefix)
+                boundary = v_fin if prefix else v_in
                 for mask in other_table.masks_by_boundary.get(boundary, ()):
-                    if mask & ~d.internal or missing & ~mask:
+                    if mask & ~internal or missing & ~mask:
                         continue
-                    d3 = (
-                        DescriptorElement(joint, mask, d.v_fin)
-                        if prefix
-                        else DescriptorElement(d.v_in, mask, joint)
-                    )
+                    d3 = (link, mask, v_fin) if prefix else (v_in, mask, link)
                     other = other_table.realize(d3)
                     if prefix:
                         return Track(witness.states + other.states)
@@ -374,7 +430,7 @@ def exists_witness(
         raise FragmentError(
             f"expected an existential-fragment formula, got {fm.classify(g).value}"
         )
-    return _Search(structure).search(g, element)
+    return _Search(structure).search(g, pack(structure, element))
 
 
 def provide_counterex(
@@ -396,5 +452,5 @@ def provide_counterex(
     for d in search.index.elements(structure.initial, True):
         witness = search.search(dual, d)
         if witness is not None:
-            return d, witness
+            return unpack(d), witness
     return None

@@ -139,7 +139,7 @@ def test_memo_entries_are_masked_to_scope(fig4, k2):
             auto.holds(g, state)
         assert auto.memo
         for f, state in auto.memo:
-            assert state[3] & ~auto.scopes[f] == 0, (f, state)
+            assert state[4] & ~auto.scopes[f] == 0, (f, state)
 
 
 def test_fragment(k2):

@@ -18,6 +18,7 @@ from hsmc import (
     parse_formula,
 )
 from hsmc.checker import _Checker
+from hsmc.conp import pack
 from hsmc.errors import ResourceLimitError
 from hsmc.oracle import _chains_from, _chains_into
 
@@ -108,7 +109,8 @@ def test_agrees_with_oracle_on_random_instances():
 
 def test_inverse_clauses_relate_exactly_the_extension_elements():
     # <Bi>/<Ei> on an element range over the elements of every right/left
-    # extension, brute-forced up to the longest pair-free track
+    # extension, brute-forced up to the longest pair-free track; the packed
+    # elements carry the extension's own joint label mask
     rng = random.Random(54)
     for _ in range(100):
         structure = random_structure(rng, max_states=3)
@@ -116,13 +118,13 @@ def test_inverse_clauses_relate_exactly_the_extension_elements():
         checker = _Checker(structure)
         for _ in range(3):
             t = random_walk(rng, structure, rng.randint(2, 5))
-            d = descriptor_element(t)
+            d = pack(structure, descriptor_element(t))
             right = {
-                descriptor_element(Track(t.states + u))
+                pack(structure, descriptor_element(Track(t.states + u)))
                 for u in _chains_from(structure, t.lst, limit)
             }
             left = {
-                descriptor_element(Track(u + t.states))
+                pack(structure, descriptor_element(Track(u + t.states)))
                 for u in _chains_into(structure, t.fst, limit)
             }
             assert set(checker._related(fm.Modality.BBAR, d)) == right, t

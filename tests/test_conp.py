@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+import hsmc.formula as fm
 from hsmc import (
     DescriptorElement,
     FragmentError,
     OracleConfig,
     Track,
+    build_bk_descriptor,
     check_exists,
+    clusters,
     concat_descr,
     descriptor_element,
+    descriptor_sequence,
     exists_witness,
     normalize,
     oracle_eval,
@@ -31,7 +35,7 @@ from corpus import (
     random_walk,
 )
 from hsmc.checker import _Checker
-from hsmc.conp import Kernels, _Table, val
+from hsmc.conp import Kernels, _concat, _Search, _Table, pack, unpack, val
 
 
 def _element(k, vin, inner, vfin):
@@ -103,9 +107,9 @@ def test_masks_by_boundary_index_the_elements():
             for forward in (True, False):
                 table = _Table(k, anchor, forward)
                 want: dict[int, list[int]] = {}
-                for d in table.elements():
-                    boundary = d.v_fin if forward else d.v_in
-                    want.setdefault(boundary, []).append(d.internal)
+                for v_in, internal, v_fin, _ in table.elements():
+                    boundary = v_fin if forward else v_in
+                    want.setdefault(boundary, []).append(internal)
                 got = {b: sorted(masks) for b, masks in table.masks_by_boundary.items()}
                 assert got == {b: sorted(masks) for b, masks in want.items()}
 
@@ -265,7 +269,7 @@ def test_compiled_kernels_agree_with_oracle_on_every_witnessed_element(
         for d, track in tracks.items():
             want = oracle_eval(structure, track, f)
             assert session.holds(f, d) == want, (to_text(f), d)
-            assert val(f, d, structure) == want
+            assert val(f, unpack(d), structure) == want
 
 
 def test_kernel_raises_on_modalities_after_a_deciding_letter(k2):
@@ -281,7 +285,105 @@ def test_element_check_sends_a_propositional_and_to_the_kernel_whole(mutex):
     holds = session.kernels.holds
     session.kernels.holds = lambda f, d: sent.append(f) or holds(f, d)
     f = normalize(parse_formula("r0 & (r1 | !e0) & !(x0 & e1)"))
-    d = _element(mutex, "w1", ("w3",), "w4")
-    track = _Table(mutex, d.v_in, True).realize(d)
+    d = pack(mutex, _element(mutex, "w1", ("w3",), "w4"))
+    track = _Table(mutex, d[0], True).realize(d)
     assert session._element_check(f, d) == oracle_eval(mutex, track, f)
     assert sent == [f]
+
+
+def _joint(k, element):
+    v_in, internal, v_fin = element[:3]
+    return k.joint_label_mask(internal) & k.label_mask(v_in) & k.label_mask(v_fin)
+
+
+def test_packed_elements_carry_their_joint_label_mask():
+    # the table walk, the inverse clauses' extensions and the packed
+    # concatenation each build the joint from pieces; every one must be
+    # the AND of the labels of all of the element's states
+    rng = random.Random(66)
+    for _ in range(40):
+        k = random_structure(rng, max_states=4, max_props=3)
+        checker = _Checker(k)
+        packed = []
+        for anchor in range(k.n_states):
+            for forward in (True, False):
+                for e in _Table(k, anchor, forward).elements():
+                    assert e[3] == _joint(k, e), e
+                    packed.append(e)
+        sample = rng.sample(packed, min(8, len(packed)))
+        for e in sample:
+            for mod in (fm.Modality.BBAR, fm.Modality.EBAR):
+                for r in checker._related(mod, e):
+                    assert r[3] == _joint(k, r), (mod, e, r)
+            for e2 in sample:
+                c = _concat(e, e2)
+                assert c[3] == _joint(k, c), (e, e2)
+                assert unpack(c) == concat_descr(unpack(e), unpack(e2))
+
+
+def test_packed_table_elements_are_the_packed_brute_force_elements():
+    # unpacking a table's elements gives exactly the witnessed triples, and
+    # packing the element of every bounded track gives the table's elements
+    rng = random.Random(67)
+    for _ in range(15):
+        k = random_structure(rng, max_states=3, max_props=3)
+        bound = 2 + k.n_states**2
+        tracks = [t for s in range(k.n_states) for t in all_tracks(k, s, bound)]
+        for anchor in range(k.n_states):
+            for forward in (True, False):
+                table = _Table(k, anchor, forward)
+                got = table.elements()
+                assert list(got) == sorted(set(got), key=lambda e: (e[1], e[0], e[2]))
+                assert frozenset(map(unpack, got)) == witnessed_elements(k, anchor, forward)
+                ends = [t for t in tracks if (t.fst if forward else t.lst) == anchor]
+                assert set(got) == {pack(k, descriptor_element(t)) for t in ends}
+                for e in got:
+                    assert descriptor_element(table.realize(e)) == unpack(e)
+
+
+def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
+    # <A>/<Ai> over a propositional child is decided on the distinct joints
+    # of the endpoint's table; it must agree with the loop over every
+    # element and with the oracle on the realizing tracks
+    rng = random.Random(68)
+    for _ in range(30):
+        k = random_structure(rng, max_states=4, max_props=3)
+        props = [*k.propositions, "zz"]
+        checker, search = _Checker(k), _Search(k)
+        starts = [e for a in range(k.n_states) for e in search.index.elements(a, True)]
+        for _ in range(4):
+            f = normalize(random_checker_formula(rng, props, max_modalities=0))
+            for anchor in range(k.n_states):
+                for forward, mod in ((True, fm.Modality.A), (False, fm.Modality.ABAR)):
+                    table = checker.index.table(anchor, forward)
+                    truths = {oracle_eval(k, table.realize(e), f) for e in table.elements()}
+                    for want in (True, False):
+                        per_element = any(
+                            checker._element_check(f, e) == want for e in table.elements()
+                        )
+                        assert per_element == (want in truths)
+                        got = checker._element_anchored(f, want, anchor, forward)
+                        assert got == per_element, (to_text(f), anchor, forward, want)
+                    for d in starts:
+                        if d[2 if forward else 0] == anchor:
+                            found = search.search(fm.Diamond(mod, f), d) is not None
+                            assert found == (True in truths), (to_text(f), d)
+
+
+def test_public_api_speaks_descriptor_elements(k2):
+    d = _element(k2, "v0", (), "v1")
+    assert all(type(e) is DescriptorElement for e in witnessed_elements(k2, 0))
+    assert all(type(e) is DescriptorElement for e in witnessed_elements(k2, 0, False))
+    element, track = provide_counterex(k2, parse_formula("[A]q"))
+    assert type(element) is DescriptorElement
+    assert descriptor_element(track) == element
+    assert check_exists(k2, parse_formula("<A>q"), d)
+    assert descriptor_element(exists_witness(k2, parse_formula("<A>q"), d)) == d
+    assert realize_element(k2, 0, d) == Track((0, 1))
+    assert not val(parse_formula("p"), d, k2)
+    assert type(concat_descr(d, d)) is DescriptorElement
+    assert d.format(k2) == "(v0,{},v1)"
+    walk = k2.track("v0 v1 v1 v1")
+    assert type(build_bk_descriptor(k2, walk, 1).element) is DescriptorElement
+    for cluster in clusters(descriptor_sequence(walk)):
+        assert all(type(m) is DescriptorElement for m in cluster.members)
