@@ -22,7 +22,7 @@ that share a state:
 - ``<Bi>`` ranges over the states reachable in one or more steps from the
   current state;
 - a subformula without started-by reads the descriptor element alone
-  (``_Checker._element_check``), ``<Ei>``/``[Ei]`` included.
+  (``conp.Elements.check``), ``<Ei>``/``[Ei]`` included.
 
 ``<Ei>``/``[Ei]`` over a child with started-by is outside the engine:
 prepending a state changes every prefix, and the bits do not say how.
@@ -37,7 +37,8 @@ not contain the pair, so its scope is strictly smaller, and the recursion
 is well-founded.
 
 At started-by depth 0 there are no pairs and a state is exactly a witnessed
-element, so ``mod_check`` takes the representative engine's element path.
+element, so ``mod_check`` checks the initial state's witnessed elements
+as ``checker.mod_check`` does.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from typing import Iterable, Iterator
 
 from . import checker
 from . import formula as fm
-from .checker import Verdict, _Checker
+from .checker import Verdict
+from .conp import Elements
 from .errors import FragmentError
 from .kripke import KripkeStructure, Track
 
@@ -93,7 +95,7 @@ class _Automaton:
 
     def __init__(self, structure: KripkeStructure, f: fm.Formula):
         self.k = structure
-        self.elements = _Checker(structure)
+        self.elements = Elements(structure)
         self.pairs: list[tuple[fm.Formula, bool]] = []
         self.pair_bit: dict[tuple[fm.Formula, bool], int] = {}
         # the scope of every subformula with started-by; the others have none
@@ -130,7 +132,7 @@ class _Automaton:
     def holds(self, f: fm.Formula, state: State) -> bool:
         scope = self.scopes.get(f)
         if scope is None:  # no started-by: the descriptor element decides
-            return self.elements._element_check(f, state[:4])
+            return self.elements.check(f, state[:4])
         v_in, internal, v_fin, joint, bits = state
         state = (v_in, internal, v_fin, joint, bits & scope)
         key = (f, state)
@@ -255,6 +257,7 @@ def _unwind(state: State, parent: dict) -> Track:
 def check(structure: KripkeStructure, f: fm.Formula, track: Track) -> bool:
     """Whether the track satisfies the formula: the step is folded along the
     track and the formula read on the final state."""
+    structure.track(track.states)
     g = fm.normalize(f)
     _require_fragment(g)
     automaton = _Automaton(structure, g)
@@ -280,7 +283,8 @@ def mod_check(structure: KripkeStructure, f: fm.Formula) -> Verdict:
     _require_fragment(g)
     automaton = _Automaton(structure, g)
     if g not in automaton.scopes:
-        return automaton.elements.initial_elements_verdict(g)
+        violation = automaton.elements.initial_violation(g)
+        return Verdict(violation is None, violation)
     parent: dict[State, State | None] = {}
     starts = automaton._starts(structure.initial)
     for state in automaton._bfs(starts, automaton.scopes[g], parent):

@@ -1,13 +1,9 @@
-"""Structure- and track-level checking over descriptor elements and track
-representatives.
+"""Structure- and track-level checking over track representatives.
 
 A formula without started-by is true on a track iff it is true on the
 track's descriptor element (entry state, internal-state set, final state),
-so such subformulas are decided per element: propositions read the labels
-of the element's states, meets/met-by range over the witnessed elements
-anchored at an endpoint, and the inverse started-by/finishes range over
-the one-state extensions and the concatenations with witnessed elements.
-At started-by nesting depth 0, ``mod_check`` therefore checks the initial
+and ``conp.Elements`` decides such subformulas on the packed element.  At
+started-by nesting depth 0, ``mod_check`` therefore checks the initial
 state's witnessed elements and walks no track.  At depth k >= 1 it walks
 the representatives of the initial tracks; started-by descends to proper
 prefixes with one less nesting budget, and meets/met-by/inverse clauses
@@ -20,10 +16,9 @@ emitted track with the same depth-k descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import formula as fm
-from .conp import Element, Kernels, WitnessIndex, _concat, pack
+from .conp import Elements, pack
 from .descriptor import descriptor_element, tau
 from .errors import FragmentError, ResourceLimitError
 from .kripke import KripkeStructure, Track
@@ -48,17 +43,10 @@ def _require_fragment(f: fm.Formula) -> None:
 
 
 class _Checker:
-    """One checking session over one structure.
+    """One walk over the representatives of one structure.
 
-    A subformula without started-by is decided on the track's descriptor
-    element alone (``_element_check``), packed as ``conp.Element`` with its
-    joint label mask: a propositional kernel goes whole to the session's
-    ``Kernels``, which decide it once per joint, meets/met-by read the
-    witnessed elements anchored at an endpoint (over a propositional child,
-    only their distinct joints), and the inverse started-by/finishes read
-    the elements of the one-state extensions and of the concatenations with
-    witnessed elements.  Element results are cached per (subformula,
-    element), and the meets/met-by ones per (subformula, endpoint).  Only
+    A subformula without started-by is decided by the session's
+    ``conp.Elements`` on the track's packed descriptor element.  Only
     subformulas with started-by look at the track itself; their results are
     cached per (track, subformula, budget), and the meets/met-by ones per
     (endpoint, subformula, budget).
@@ -66,17 +54,14 @@ class _Checker:
 
     def __init__(self, structure: KripkeStructure):
         self.k = structure
-        self.index = WitnessIndex(structure)
-        self.kernels = Kernels(structure)
+        self.elements = Elements(structure)
         self.endpoint_memo: dict[tuple, bool] = {}
-        self.element_memo: dict[tuple, bool] = {}
-        self.element_endpoint_memo: dict[tuple, bool] = {}
         self.track_memo: dict[tuple, bool] = {}
 
     def check(self, budget: int, f: fm.Formula, track: Track) -> bool:
         if fm.Modality.B not in fm.modalities(f):
             # truth only depends on the track's descriptor element
-            return self._element_check(f, pack(self.k, descriptor_element(track)))
+            return self.elements.check(f, pack(self.k, descriptor_element(track)))
         key = (track.states, f, budget)
         cached = self.track_memo.get(key)
         if cached is not None:
@@ -84,97 +69,6 @@ class _Checker:
         result = self._check(budget, f, track)
         self.track_memo[key] = result
         return result
-
-    def _element_check(self, f: fm.Formula, element: Element) -> bool:
-        """Evaluate a started-by-free formula on a packed descriptor
-        element."""
-        if fm.is_propositional(f):
-            return self.kernels.holds(f, element)
-        key = (f, element)
-        cached = self.element_memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, fm.Not):
-            result = not self._element_check(f.child, element)
-        elif isinstance(f, fm.And):
-            result = self._element_check(f.left, element) and self._element_check(
-                f.right, element
-            )
-        elif isinstance(f, fm.Or):
-            result = self._element_check(f.left, element) or self._element_check(
-                f.right, element
-            )
-        elif isinstance(f, (fm.Diamond, fm.Box)):
-            want = isinstance(f, fm.Diamond)
-            if f.mod is fm.Modality.A:
-                found = self._element_anchored(f.child, want, element[2], True)
-            elif f.mod is fm.Modality.ABAR:
-                found = self._element_anchored(f.child, want, element[0], False)
-            else:
-                found = any(
-                    self._element_check(f.child, d) == want
-                    for d in self._related(f.mod, element)
-                )
-            result = want == found
-        else:
-            raise FragmentError("the checker needs a normalized formula")
-        self.element_memo[key] = result
-        return result
-
-    def initial_elements_verdict(self, f: fm.Formula) -> Verdict:
-        """Check a started-by-free formula on the initial state's witnessed
-        elements in ``(internal, v_in, v_fin)`` order; a violation comes
-        with the shortest track realizing the first violating element."""
-        table = self.index.table(self.k.initial, True)
-        for d in table.elements():
-            if not self._element_check(f, d):
-                return Verdict(False, table.realize(d))
-        return Verdict(True)
-
-    def _element_anchored(
-        self, child: fm.Formula, want: bool, anchor: int, forward: bool
-    ) -> bool:
-        """Whether some element witnessed from (forward) or into ``anchor``
-        has ``child == want``: the meets/met-by answer, shared by every
-        element with that endpoint.  A propositional child only reads the
-        joint, so it is read once per distinct joint of the table."""
-        key = (child, want, anchor, forward)
-        cached = self.element_endpoint_memo.get(key)
-        if cached is None:
-            table = self.index.table(anchor, forward)
-            if fm.is_propositional(child):
-                cached = any(
-                    self.kernels.on_joint(child, joint) == want
-                    for joint in table.joints()
-                )
-            else:
-                cached = any(
-                    self._element_check(child, d) == want for d in table.elements()
-                )
-            self.element_endpoint_memo[key] = cached
-        return cached
-
-    def _related(self, mod: fm.Modality, d: Element) -> Iterator[Element]:
-        """The packed elements of the tracks an inverse started-by/finishes
-        relates to a track with element ``d``, possibly repeated."""
-        M = fm.Modality
-        v_in, internal, v_fin, joint = d
-        label = self.k.label_mask
-        if mod is M.BBAR:
-            # t.v, then t followed by a track from v
-            for v in self.k.successors(v_fin):
-                yield (v_in, internal | 1 << v_fin, v, joint & label(v))
-                for e in self.index.elements(v, True):
-                    yield _concat(d, e)
-        elif mod is M.EBAR:
-            for u in self.k.predecessors(v_in):
-                yield (u, internal | 1 << v_in, v_fin, joint & label(u))
-                for e in self.index.elements(u, False):
-                    yield _concat(e, d)
-        else:
-            raise FragmentError(
-                f"the representative engine cannot handle <{mod.value}> formulas"
-            )
 
     def _check(self, budget: int, f: fm.Formula, track: Track) -> bool:
         # f contains started-by, so it is a connective or a modality
@@ -276,6 +170,7 @@ def check(
 ) -> bool:
     """Whether the track satisfies the formula; ``budget`` must be at least
     the formula's started-by nesting depth."""
+    structure.track(track.states)
     g = fm.normalize(f)
     _require_fragment(g)
     if fm.nest_b(g) > budget:
@@ -299,14 +194,15 @@ def mod_check(
     g = fm.normalize(f)
     _require_fragment(g)
     depth = fm.nest_b(g)
-    checker = _Checker(structure)
     if depth == 0:
-        return checker.initial_elements_verdict(g)
+        violation = Elements(structure).initial_violation(g)
+        return Verdict(violation is None, violation)
     bound = tau(structure.n_states, depth)
     if max_tau is not None and bound > max_tau:
         raise ResourceLimitError(
             f"representative length bound {bound} exceeds the ceiling {max_tau}"
         )
+    checker = _Checker(structure)
     for rep in unravel(structure, structure.initial, depth, Direction.FORWARD):
         if not checker.check(depth, g, rep):
             return Verdict(False, rep)

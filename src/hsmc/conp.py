@@ -9,17 +9,21 @@ state decomposition and the two-piece split.  The search is a deterministic
 exhaustive rendering of the underlying guess-and-verify procedure, with the
 accepting choices replayed to assemble a concrete violating track.
 
-Inside this module and the checker's element path an element is packed as
-an ``Element`` tuple that carries its joint label mask: the table walk
-builds the joint at one ``&`` per key, and a propositional kernel reads the
-joint alone.  The public functions take and return ``DescriptorElement``
-and convert at the boundary.
+A formula without started-by has one truth value on all tracks that share
+a descriptor element; ``Elements`` decides it there, one session per
+request, for the search here, the automaton and the representative walk.
+Inside the engines an element is packed as an ``Element`` tuple that
+carries its joint label mask: the table walk builds the joint at one ``&``
+per key, and a propositional kernel reads the joint alone.  The public
+functions take and return ``DescriptorElement`` and convert at the
+boundary.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from typing import Iterator
 
 from . import formula as fm
 from .errors import FragmentError
@@ -250,12 +254,25 @@ class _Table:
         return Track((*hops, self.anchor))
 
 
-class WitnessIndex:
-    """Lazy per-structure cache of witnessed-element tables."""
+class Elements:
+    """One checking session's decisions of started-by-free formulas on
+    packed descriptor elements.
+
+    A propositional kernel goes whole to the session's ``Kernels``,
+    meets/met-by read the witnessed elements anchored at an endpoint (over
+    a propositional child, only their distinct joints), and the inverse
+    started-by/finishes read the elements of the one-state extensions and
+    of the concatenations with witnessed elements.  Results are cached per
+    (subformula, element), the meets/met-by ones per (subformula,
+    endpoint), and the witness tables per (anchor, direction).
+    """
 
     def __init__(self, structure: KripkeStructure):
         self.k = structure
+        self.kernels = Kernels(structure)
         self._tables: dict[tuple[int, bool], _Table] = {}
+        self.memo: dict[tuple, bool] = {}
+        self.anchored_memo: dict[tuple, bool] = {}
 
     def table(self, anchor: int, forward: bool) -> _Table:
         key = (anchor, forward)
@@ -263,8 +280,87 @@ class WitnessIndex:
             self._tables[key] = _Table(self.k, anchor, forward)
         return self._tables[key]
 
-    def elements(self, anchor: int, forward: bool) -> tuple[Element, ...]:
-        return self.table(anchor, forward).elements()
+    def check(self, f: fm.Formula, element: Element) -> bool:
+        """Evaluate a started-by-free formula on a packed descriptor
+        element."""
+        if fm.is_propositional(f):
+            return self.kernels.holds(f, element)
+        key = (f, element)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        if isinstance(f, fm.Not):
+            result = not self.check(f.child, element)
+        elif isinstance(f, fm.And):
+            result = self.check(f.left, element) and self.check(f.right, element)
+        elif isinstance(f, fm.Or):
+            result = self.check(f.left, element) or self.check(f.right, element)
+        elif isinstance(f, (fm.Diamond, fm.Box)):
+            want = isinstance(f, fm.Diamond)
+            if f.mod is fm.Modality.A:
+                found = self.anchored(f.child, want, element[2], True)
+            elif f.mod is fm.Modality.ABAR:
+                found = self.anchored(f.child, want, element[0], False)
+            else:
+                found = any(
+                    self.check(f.child, d) == want for d in self.related(f.mod, element)
+                )
+            result = want == found
+        else:
+            raise FragmentError("the checker needs a normalized formula")
+        self.memo[key] = result
+        return result
+
+    def initial_violation(self, f: fm.Formula) -> Track | None:
+        """The shortest track realizing the first of the initial state's
+        witnessed elements, in ``(internal, v_in, v_fin)`` order, that
+        violates the started-by-free formula, or None."""
+        table = self.table(self.k.initial, True)
+        for d in table.elements():
+            if not self.check(f, d):
+                return table.realize(d)
+        return None
+
+    def anchored(self, child: fm.Formula, want: bool, anchor: int, forward: bool) -> bool:
+        """Whether some element witnessed from (forward) or into ``anchor``
+        has ``child == want``: the meets/met-by answer, shared by every
+        element with that endpoint.  A propositional child only reads the
+        joint, so it is read once per distinct joint of the table."""
+        key = (child, want, anchor, forward)
+        cached = self.anchored_memo.get(key)
+        if cached is None:
+            table = self.table(anchor, forward)
+            if fm.is_propositional(child):
+                cached = any(
+                    self.kernels.on_joint(child, joint) == want
+                    for joint in table.joints()
+                )
+            else:
+                cached = any(self.check(child, d) == want for d in table.elements())
+            self.anchored_memo[key] = cached
+        return cached
+
+    def related(self, mod: fm.Modality, d: Element) -> Iterator[Element]:
+        """The packed elements of the tracks an inverse started-by/finishes
+        relates to a track with element ``d``, possibly repeated."""
+        M = fm.Modality
+        v_in, internal, v_fin, joint = d
+        label = self.k.label_mask
+        if mod is M.BBAR:
+            # t.v, then t followed by a track from v
+            for v in self.k.successors(v_fin):
+                yield (v_in, internal | 1 << v_fin, v, joint & label(v))
+                for e in self.table(v, True).elements():
+                    yield _concat(d, e)
+        elif mod is M.EBAR:
+            for u in self.k.predecessors(v_in):
+                yield (u, internal | 1 << v_in, v_fin, joint & label(u))
+                for e in self.table(u, False).elements():
+                    yield _concat(e, d)
+        else:
+            raise FragmentError(
+                f"the representative engine cannot handle <{mod.value}> formulas"
+            )
 
 
 def witnessed_elements(
@@ -291,6 +387,8 @@ _EXISTS_MODALITIES = (
     fm.Modality.B,
     fm.Modality.E,
 )
+# the modalities whose witnesses _Search assembles piece by piece
+_SPLIT_MODALITIES = frozenset({fm.Modality.B, fm.Modality.E})
 
 
 class _Search:
@@ -298,10 +396,10 @@ class _Search:
     produce a track realizing the element on which the subformula holds, or
     None."""
 
-    def __init__(self, structure: KripkeStructure, index: WitnessIndex | None = None):
+    def __init__(self, structure: KripkeStructure):
         self.k = structure
-        self.index = index or WitnessIndex(structure)
-        self.kernels = Kernels(structure)
+        self.elements = Elements(structure)
+        self.kernels = self.elements.kernels
         self.memo: dict[tuple[fm.Formula, Element], Track | None] = {}
         self.sat_memo: dict[tuple[fm.Formula, int, bool], list[tuple[Element, Track]]] = {}
 
@@ -314,26 +412,24 @@ class _Search:
         return result
 
     def _realize(self, d: Element) -> Track:
-        return self.index.table(d[0], True).realize(d)
+        return self.elements.table(d[0], True).realize(d)
 
     def _search(self, f: fm.Formula, d: Element) -> Track | None:
         if fm.is_propositional(f):
             return self._realize(d) if self.kernels.holds(f, d) else None
+        if not fm.modalities(f) & _SPLIT_MODALITIES:
+            # every track realizing d agrees on f: any of them is a witness
+            return self._realize(d) if self.elements.check(f, d) else None
         if isinstance(f, fm.Or):
             return self.search(f.left, d) or self.search(f.right, d)
         if isinstance(f, fm.Diamond) and f.mod in _EXISTS_MODALITIES:
             M = fm.Modality
             if f.mod in (M.A, M.ABAR):
                 forward = f.mod is M.A
-                table = self.index.table(d[2] if forward else d[0], forward)
-                if fm.is_propositional(f.child):
-                    found = any(
-                        self.kernels.on_joint(f.child, joint) for joint in table.joints()
-                    )
-                else:
-                    found = any(
-                        self.search(f.child, d2) is not None for d2 in table.elements()
-                    )
+                table = self.elements.table(d[2] if forward else d[0], forward)
+                found = any(
+                    self.search(f.child, d2) is not None for d2 in table.elements()
+                )
                 return self._realize(d) if found else None
             if f.mod is M.B:
                 return self._split_search(f.child, d, prefix=True)
@@ -351,7 +447,7 @@ class _Search:
         key = (child, anchor, forward)
         if key not in self.sat_memo:
             out = []
-            for d in self.index.elements(anchor, forward):
+            for d in self.elements.table(anchor, forward).elements():
                 witness = self.search(child, d)
                 if witness is not None:
                     out.append((d, witness))
@@ -363,7 +459,7 @@ class _Search:
         either the witness misses a single boundary state of d, or d splits
         into the witness's element joined to a second witnessed element."""
         v_in, internal, v_fin, _ = d
-        table = self.index.table(v_in, True) if prefix else self.index.table(v_fin, False)
+        table = self.elements.table(v_in if prefix else v_fin, prefix)
         # drop-one-state case: the removed boundary state must come from d's
         # internal set, and the witness's internal set covers the rest
         rest = internal
@@ -399,7 +495,7 @@ class _Search:
                     continue
                 fixed = fixed_d2 | (1 << link)
                 missing = internal & ~fixed
-                other_table = self.index.table(link, prefix)
+                other_table = self.elements.table(link, prefix)
                 boundary = v_fin if prefix else v_in
                 for mask in other_table.masks_by_boundary.get(boundary, ()):
                     if mask & ~internal or missing & ~mask:
@@ -449,7 +545,7 @@ def provide_counterex(
         )
     dual = fm.to_exists_dual(g)
     search = _Search(structure)
-    for d in search.index.elements(structure.initial, True):
+    for d in search.elements.table(structure.initial, True).elements():
         witness = search.search(dual, d)
         if witness is not None:
             return unpack(d), witness

@@ -201,6 +201,7 @@ def oracle_eval(
     config: OracleConfig | None = None,
 ) -> bool:
     """Evaluate a formula on a track by literal recursive enumeration."""
+    structure.track(track.states)
     config = config or OracleConfig()
     g = fm.normalize(f)
     _warn_if_bound_insufficient(structure, g, config)

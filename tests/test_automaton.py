@@ -5,7 +5,10 @@ import pytest
 import hsmc.formula as fm
 from hsmc import (
     FragmentError,
+    MissingEdgeError,
+    ModelError,
     OracleConfig,
+    Track,
     automaton,
     check,
     mod_check,
@@ -14,6 +17,7 @@ from hsmc import (
     oracle_eval,
     oracle_mod_check,
     parse_formula,
+    parse_kripke,
 )
 
 from corpus import pair_free_stats, random_checker_formula, random_structure, random_walk
@@ -164,3 +168,21 @@ def test_counterexamples_match_the_representative_engine(k2, fig4, sched):
         verdict = automaton.mod_check(structure, f)
         assert structure.track_str(verdict.counterexample) == ce
         assert verdict.counterexample == mod_check(structure, f).counterexample
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda k, f, t: automaton.check(k, f, t),
+        lambda k, f, t: check(k, 1, f, t),
+        lambda k, f, t: oracle_eval(k, t, f),
+    ],
+    ids=["automaton", "representative", "oracle"],
+)
+def test_per_track_entry_points_validate_the_track(k2, decide):
+    f = parse_formula("[B]<A>p")
+    with pytest.raises(ModelError):
+        decide(k2, f, Track((0, 7)))
+    chain = parse_kripke("states: a b c\ninit: a\nlabel a: p\nedges: a->b b->c c->c\n")
+    with pytest.raises(MissingEdgeError):
+        decide(chain, f, Track((0, 2)))

@@ -17,7 +17,7 @@ from hsmc import (
     oracle_mod_check,
     parse_formula,
 )
-from hsmc.checker import _Checker
+from hsmc.conp import Elements
 from hsmc.conp import pack
 from hsmc.errors import ResourceLimitError
 from hsmc.oracle import _chains_from, _chains_into
@@ -115,7 +115,7 @@ def test_inverse_clauses_relate_exactly_the_extension_elements():
     for _ in range(100):
         structure = random_structure(rng, max_states=3)
         limit = pair_free_stats(structure, 0)[0]
-        checker = _Checker(structure)
+        elements = Elements(structure)
         for _ in range(3):
             t = random_walk(rng, structure, rng.randint(2, 5))
             d = pack(structure, descriptor_element(t))
@@ -127,8 +127,8 @@ def test_inverse_clauses_relate_exactly_the_extension_elements():
                 pack(structure, descriptor_element(Track(u + t.states)))
                 for u in _chains_into(structure, t.fst, limit)
             }
-            assert set(checker._related(fm.Modality.BBAR, d)) == right, t
-            assert set(checker._related(fm.Modality.EBAR, d)) == left, t
+            assert set(elements.related(fm.Modality.BBAR, d)) == right, t
+            assert set(elements.related(fm.Modality.EBAR, d)) == left, t
 
 
 def test_depth_zero_mod_check_walks_no_stream(mutex, monkeypatch):

@@ -226,6 +226,10 @@ def test_unravel_command(files):
         ["unravel", "--model", model, "--state", "v0", "--k", "0", "--limit", "3"]
     )
     assert out_limited.splitlines() == lines[:3]
+    code, out_none = _run(
+        ["unravel", "--model", model, "--state", "v0", "--k", "0", "--limit", "0"]
+    )
+    assert (code, out_none) == (0, "")
 
 
 def test_unravel_backward(files):
@@ -327,6 +331,10 @@ def test_bad_numeric_arguments_exit_code(files):
     assert code == 2
     code, _ = _run(["unravel", "--model", model, "--state", "nope", "--k", "0"])
     assert code == 2
+    code, out = _run(
+        ["unravel", "--model", model, "--state", "v0", "--k", "0", "--limit", "-3"]
+    )
+    assert (code, out) == (2, "")
 
 
 _USAGE = "usage: hsmc [-h] {check,counterexample,descriptors,unravel,oracle,gen} ...\n"

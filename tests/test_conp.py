@@ -5,6 +5,7 @@ import pytest
 import hsmc.formula as fm
 from hsmc import (
     DescriptorElement,
+    automaton,
     FragmentError,
     OracleConfig,
     Track,
@@ -15,6 +16,7 @@ from hsmc import (
     descriptor_element,
     descriptor_sequence,
     exists_witness,
+    mod_check,
     normalize,
     oracle_eval,
     oracle_mod_check,
@@ -29,13 +31,13 @@ from hsmc import (
 from hsmc.oracle import all_tracks
 
 from corpus import (
+    pair_free_stats,
     random_checker_formula,
     random_forall_formula,
     random_structure,
     random_walk,
 )
-from hsmc.checker import _Checker
-from hsmc.conp import Kernels, _concat, _Search, _Table, pack, unpack, val
+from hsmc.conp import Elements, Kernels, _concat, _Search, _Table, pack, unpack, val
 
 
 def _element(k, vin, inner, vfin):
@@ -280,14 +282,14 @@ def test_kernel_raises_on_modalities_after_a_deciding_letter(k2):
 
 
 def test_element_check_sends_a_propositional_and_to_the_kernel_whole(mutex):
-    session = _Checker(mutex)
+    session = Elements(mutex)
     sent = []
     holds = session.kernels.holds
     session.kernels.holds = lambda f, d: sent.append(f) or holds(f, d)
     f = normalize(parse_formula("r0 & (r1 | !e0) & !(x0 & e1)"))
     d = pack(mutex, _element(mutex, "w1", ("w3",), "w4"))
     track = _Table(mutex, d[0], True).realize(d)
-    assert session._element_check(f, d) == oracle_eval(mutex, track, f)
+    assert session.check(f, d) == oracle_eval(mutex, track, f)
     assert sent == [f]
 
 
@@ -303,7 +305,7 @@ def test_packed_elements_carry_their_joint_label_mask():
     rng = random.Random(66)
     for _ in range(40):
         k = random_structure(rng, max_states=4, max_props=3)
-        checker = _Checker(k)
+        elements = Elements(k)
         packed = []
         for anchor in range(k.n_states):
             for forward in (True, False):
@@ -313,7 +315,7 @@ def test_packed_elements_carry_their_joint_label_mask():
         sample = rng.sample(packed, min(8, len(packed)))
         for e in sample:
             for mod in (fm.Modality.BBAR, fm.Modality.EBAR):
-                for r in checker._related(mod, e):
+                for r in elements.related(mod, e):
                     assert r[3] == _joint(k, r), (mod, e, r)
             for e2 in sample:
                 c = _concat(e, e2)
@@ -349,25 +351,47 @@ def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
     for _ in range(30):
         k = random_structure(rng, max_states=4, max_props=3)
         props = [*k.propositions, "zz"]
-        checker, search = _Checker(k), _Search(k)
-        starts = [e for a in range(k.n_states) for e in search.index.elements(a, True)]
+        elements, search = Elements(k), _Search(k)
+        starts = [e for a in range(k.n_states) for e in elements.table(a, True).elements()]
         for _ in range(4):
             f = normalize(random_checker_formula(rng, props, max_modalities=0))
             for anchor in range(k.n_states):
                 for forward, mod in ((True, fm.Modality.A), (False, fm.Modality.ABAR)):
-                    table = checker.index.table(anchor, forward)
+                    table = elements.table(anchor, forward)
                     truths = {oracle_eval(k, table.realize(e), f) for e in table.elements()}
                     for want in (True, False):
                         per_element = any(
-                            checker._element_check(f, e) == want for e in table.elements()
+                            elements.check(f, e) == want for e in table.elements()
                         )
                         assert per_element == (want in truths)
-                        got = checker._element_anchored(f, want, anchor, forward)
+                        got = elements.anchored(f, want, anchor, forward)
                         assert got == per_element, (to_text(f), anchor, forward, want)
                     for d in starts:
                         if d[2 if forward else 0] == anchor:
                             found = search.search(fm.Diamond(mod, f), d) is not None
                             assert found == (True in truths), (to_text(f), d)
+
+
+def test_universal_verdicts_agree_with_the_track_engines():
+    # universal formulas over A, Ai and B go to conp, but the automaton and
+    # the representative walk decide them too; all three must agree.  The
+    # walk's stream grows with tau, so instances with over 20,000
+    # representatives are skipped
+    rng = random.Random(71)
+    checked = violated = 0
+    while checked < 300:
+        k = random_structure(rng, max_states=4, max_props=3)
+        g = normalize(random_forall_formula(rng, [*k.propositions, "zz"]))
+        if k.n_states < 2 or fm.Modality.E in fm.modalities(g):
+            continue
+        if pair_free_stats(k, fm.nest_b(g), cap_count=20_000) is None:
+            continue
+        holds = provide_counterex(k, g) is None
+        assert automaton.mod_check(k, g).holds == holds, to_text(g)
+        assert mod_check(k, g).holds == holds, to_text(g)
+        checked += 1
+        violated += not holds
+    assert 50 <= violated <= 250  # both verdicts are exercised
 
 
 def test_public_api_speaks_descriptor_elements(k2):
