@@ -1,15 +1,14 @@
 """Started-by formulas decided on a formula-driven prefix automaton.
 
-A track t is summarized by its product state ``(v_in, internal, v_fin,
-joint, bits)``: its packed descriptor element (``conp.Element``, whose
-joint is the AND of the label masks of its states), plus one bit per
-``(child, want)`` pair of the formula -- one pair per ``<B>child`` (want
-true) and per ``[B]child`` (want false).  A pair's bit is set when some
-proper prefix p of t has ``child(p) == want``.  The proper prefixes of
-``t·v`` are those of t and t itself, so the state of ``t·v`` is ``(v_in,
-internal | 1 << v_fin, v, joint & label(v), bits')``, where ``bits'`` adds
-every pair that holds on t itself.  The state of a two-state track ``u·w``
-is ``(u, 0, w, label(u) & label(w), 0)``.
+A track t is summarized by its product state ``(v_in, v_fin, joint,
+bits)``: its class (``conp.Class``, whose joint is the AND of the label
+masks of its states), plus one bit per ``(child, want)`` pair of the
+formula -- one pair per ``<B>child`` (want true) and per ``[B]child`` (want
+false).  A pair's bit is set when some proper prefix p of t has
+``child(p) == want``.  The proper prefixes of ``t·v`` are those of t and t
+itself, so the state of ``t·v`` is ``(v_in, v, joint & label(v), bits')``,
+where ``bits'`` adds every pair that holds on t itself.  The state of a
+two-state track ``u·w`` is ``(u, w, label(u) & label(w), 0)``.
 
 By induction on the formula, a subformula has one truth value on all tracks
 that share a state:
@@ -21,7 +20,7 @@ that share a state:
   state is ``v_in``;
 - ``<Bi>`` ranges over the states reachable in one or more steps from the
   current state;
-- a subformula without started-by reads the descriptor element alone
+- a subformula without started-by reads the class alone
   (``conp.Elements.check``), ``<Ei>``/``[Ei]`` included.
 
 ``<Ei>``/``[Ei]`` over a child with started-by is outside the engine:
@@ -37,8 +36,8 @@ not contain the pair, so its scope is strictly smaller, and the recursion
 is well-founded.
 
 At started-by depth 0 there are no pairs and a state is exactly a witnessed
-element, so ``mod_check`` checks the initial state's witnessed elements
-as ``checker.mod_check`` does.
+class, so ``mod_check`` checks the initial state's witnessed elements as
+``checker.mod_check`` does.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from .conp import Elements
 from .errors import FragmentError
 from .kripke import KripkeStructure, Track
 
-# (v_in, internal mask, v_fin, joint label mask, pair bits)
-State = tuple[int, int, int, int, int]
+# (v_in, v_fin, joint label mask, pair bits)
+State = tuple[int, int, int, int]
 
 
 def _ei_over_started_by(f: fm.Formula) -> bool:
@@ -131,10 +130,10 @@ class _Automaton:
 
     def holds(self, f: fm.Formula, state: State) -> bool:
         scope = self.scopes.get(f)
-        if scope is None:  # no started-by: the descriptor element decides
-            return self.elements.check(f, state[:4])
-        v_in, internal, v_fin, joint, bits = state
-        state = (v_in, internal, v_fin, joint, bits & scope)
+        if scope is None:  # no started-by: the class decides
+            return self.elements.check(f, state[:3])
+        v_in, v_fin, joint, bits = state
+        state = (v_in, v_fin, joint, bits & scope)
         key = (f, state)
         cached = self.memo.get(key)
         if cached is not None:
@@ -155,9 +154,9 @@ class _Automaton:
         want = isinstance(f, fm.Diamond)
         child = f.child
         if f.mod is M.B:
-            return bool(state[4] >> self.pair_bit[(child, want)] & 1) == want
+            return bool(state[3] >> self.pair_bit[(child, want)] & 1) == want
         if f.mod is M.A:
-            found = self._anchored(child, want, state[2], True)
+            found = self._anchored(child, want, state[1], True)
         elif f.mod is M.ABAR:
             found = self._anchored(child, want, state[0], False)
         elif f.mod is M.BBAR:
@@ -185,7 +184,7 @@ class _Automaton:
         if forward:
             states: Iterable[State] = self._bfs(self._starts(anchor), scope, {})
         else:
-            states = (s for s in self._reachable(scope) if s[2] == anchor)
+            states = (s for s in self._reachable(scope) if s[1] == anchor)
         result = any(self.holds(child, s) == want for s in states)
         self.anchored_memo[key] = result
         return result
@@ -219,14 +218,13 @@ class _Automaton:
     def _starts(self, u: int) -> list[State]:
         """The states of the two-state tracks from ``u``."""
         label = self.k.label_mask
-        return [(u, 0, w, label(u) & label(w), 0) for w in self.k.successors(u)]
+        return [(u, w, label(u) & label(w), 0) for w in self.k.successors(u)]
 
-    def _advance(self, state: State, scope: int) -> tuple[int, int, int, int]:
-        """``(v_in, internal, joint, bits)`` of every one-state extension
-        before the new final state's label is added to the joint: the old
-        final state turns internal and every pair of ``scope`` that holds on
-        the track itself is added.  The state's bits lie within ``scope``."""
-        v_in, internal, v_fin, joint, bits = state
+    def _advance(self, state: State, scope: int) -> int:
+        """The bits of every one-state extension: every pair of ``scope``
+        that holds on the track itself is added.  The state's bits lie
+        within ``scope``."""
+        bits = state[3]
         todo = scope & ~bits
         while todo:
             low = todo & -todo
@@ -234,22 +232,20 @@ class _Automaton:
             if self.holds(child, state) == want:
                 bits |= low
             todo ^= low
-        return v_in, internal | 1 << v_fin, joint, bits
+        return bits
 
     def _successors(self, state: State, scope: int) -> list[State]:
-        v_in, internal, joint, bits = self._advance(state, scope)
+        v_in, v_fin, joint, _ = state
+        bits = self._advance(state, scope)
         label = self.k.label_mask
-        return [
-            (v_in, internal, v, joint & label(v), bits)
-            for v in self.k.successors(state[2])
-        ]
+        return [(v_in, v, joint & label(v), bits) for v in self.k.successors(v_fin)]
 
 
 def _unwind(state: State, parent: dict) -> Track:
     finals = []
     cursor: State | None = state
     while cursor is not None:
-        finals.append(cursor[2])
+        finals.append(cursor[1])
         cursor = parent[cursor]
     return Track((state[0], *reversed(finals)))
 
@@ -263,10 +259,10 @@ def check(structure: KripkeStructure, f: fm.Formula, track: Track) -> bool:
     automaton = _Automaton(structure, g)
     scope = automaton.scopes.get(g, 0)
     label = structure.label_mask
-    state = (track.fst, 0, track[1], label(track.fst) & label(track[1]), 0)
+    state = (track.fst, track[1], label(track.fst) & label(track[1]), 0)
     for v in track.states[2:]:
-        v_in, internal, joint, bits = automaton._advance(state, scope)
-        state = (v_in, internal, v, joint & label(v), bits)
+        bits = automaton._advance(state, scope)
+        state = (track.fst, v, state[2] & label(v), bits)
     return automaton.holds(g, state)
 
 

@@ -1,8 +1,8 @@
 """Structure- and track-level checking over track representatives.
 
 A formula without started-by is true on a track iff it is true on the
-track's descriptor element (entry state, internal-state set, final state),
-and ``conp.Elements`` decides such subformulas on the packed element.  At
+track's class (entry state, final state, joint label mask), and
+``conp.Elements`` decides such subformulas on the class.  At
 started-by nesting depth 0, ``mod_check`` therefore checks the initial
 state's witnessed elements and walks no track.  At depth k >= 1 it walks
 the representatives of the initial tracks; started-by descends to proper
@@ -46,10 +46,10 @@ class _Checker:
     """One walk over the representatives of one structure.
 
     A subformula without started-by is decided by the session's
-    ``conp.Elements`` on the track's packed descriptor element.  Only
-    subformulas with started-by look at the track itself; their results are
-    cached per (track, subformula, budget), and the meets/met-by ones per
-    (endpoint, subformula, budget).
+    ``conp.Elements`` on the track's class.  Only subformulas with
+    started-by look at the track itself; their results are cached per
+    (track, subformula, budget), and the meets/met-by ones per (endpoint,
+    subformula, budget).
     """
 
     def __init__(self, structure: KripkeStructure):
@@ -60,8 +60,9 @@ class _Checker:
 
     def check(self, budget: int, f: fm.Formula, track: Track) -> bool:
         if fm.Modality.B not in fm.modalities(f):
-            # truth only depends on the track's descriptor element
-            return self.elements.check(f, pack(self.k, descriptor_element(track)))
+            # truth only depends on the track's class
+            e = pack(self.k, descriptor_element(track))
+            return self.elements.check(f, (e[0], e[2], e[3]))
         key = (track.states, f, budget)
         cached = self.track_memo.get(key)
         if cached is not None:

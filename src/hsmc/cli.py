@@ -131,6 +131,8 @@ def _cmd_counterexample(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_descriptors(args: argparse.Namespace, out) -> int:
+    if args.k < 0:
+        raise ValueError("--k must be nonnegative")
     structure = _load_model(args.model)
     track = structure.track(args.track)
     seq = ds.descriptor_sequence(track)

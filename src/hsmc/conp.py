@@ -9,14 +9,19 @@ state decomposition and the two-piece split.  The search is a deterministic
 exhaustive rendering of the underlying guess-and-verify procedure, with the
 accepting choices replayed to assemble a concrete violating track.
 
-A formula without started-by has one truth value on all tracks that share
-a descriptor element; ``Elements`` decides it there, one session per
-request, for the search here, the automaton and the representative walk.
 Inside the engines an element is packed as an ``Element`` tuple that
-carries its joint label mask: the table walk builds the joint at one ``&``
-per key, and a propositional kernel reads the joint alone.  The public
+carries its joint label mask J, the AND of the label masks of all of its
+states: the table walk builds the joint at one ``&`` per key.  The public
 functions take and return ``DescriptorElement`` and convert at the
 boundary.
+
+A formula without started-by has one truth value on all tracks that share
+a class ``(v_in, v_fin, J)``: under homogeneity a letter reads only J,
+meets/met-by read only an endpoint, and extending a track to the right by
+one state b gives the class ``(v_in, b, J & label(b))``, by a track of
+class ``(w, b, j)`` the class ``(v_in, b, J & j)``, and to the left the
+mirror.  ``Elements`` decides such formulas on classes, one session per
+request, for the search here, the automaton and the representative walk.
 """
 
 from __future__ import annotations
@@ -90,6 +95,9 @@ def _compile(f: fm.Formula, structure: KripkeStructure, positive: bool = True):
 # states.  The joint is a function of the other three fields, so packed
 # elements hash and compare as the triples do.
 Element = tuple[int, int, int, int]
+# The class (v_in, v_fin, joint) of an element: all that a started-by-free
+# formula reads.
+Class = tuple[int, int, int]
 
 
 def pack(structure: KripkeStructure, d: DescriptorElement) -> Element:
@@ -116,9 +124,6 @@ class Kernels:
         self.k = structure
         self._kernels: dict[fm.Formula, tuple] = {}
 
-    def holds(self, f: fm.Formula, element: Element) -> bool:
-        return self.on_joint(f, element[3])
-
     def on_joint(self, f: fm.Formula, joint: int) -> bool:
         kernel = self._kernels.get(f)
         if kernel is None:
@@ -134,13 +139,7 @@ def val(f: fm.Formula, element: DescriptorElement, structure: KripkeStructure) -
     """Evaluate a pure propositional formula on a descriptor element: a
     letter holds iff it labels the entry state, the final state, and every
     internal state."""
-    return Kernels(structure).holds(f, pack(structure, element))
-
-
-def _concat(e1: Element, e2: Element) -> Element:
-    """The element of a track realizing e1 followed by one realizing e2."""
-    internal = e1[1] | (1 << e1[2]) | (1 << e2[0]) | e2[1]
-    return (e1[0], internal, e2[2], e1[3] & e2[3])
+    return Kernels(structure).on_joint(f, pack(structure, element)[3])
 
 
 def concat_descr(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElement:
@@ -166,7 +165,8 @@ class _Table:
     The walk carries each key's joint label mask: extending a realization
     by a state turns the old boundary internal, whose label is already in
     the joint, and adds the new boundary's label, one ``&`` per key.  The
-    elements come out packed, ``(v_in, internal, v_fin, joint)``.
+    elements come out packed, ``(v_in, internal, v_fin, joint)``, and the
+    distinct ``(boundary, joint)`` pairs give the witnessed classes.
     """
 
     def __init__(self, structure: KripkeStructure, anchor: int, forward: bool):
@@ -176,7 +176,6 @@ class _Table:
         self.parent: dict[tuple[int, int], tuple[int, int] | None] = {}
         self.joint: dict[tuple[int, int], int] = {}
         self._elements: tuple[Element, ...] | None = None
-        self._joints: tuple[int, ...] | None = None
         neighbours = structure.successors if forward else structure.predecessors
         labels = [structure.label_mask(v) for v in range(structure.n_states)]
         parent, joints = self.parent, self.joint
@@ -232,11 +231,11 @@ class _Table:
             self._elements = tuple(out)
         return self._elements
 
-    def joints(self) -> tuple[int, ...]:
-        """The distinct joint label masks of the witnessed elements."""
-        if self._joints is None:
-            self._joints = tuple(dict.fromkeys(self.joint.values()))
-        return self._joints
+    @cached_property
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """The distinct ``(boundary, joint)`` pairs of the witnessed
+        elements: with the anchor, their classes."""
+        return tuple(dict.fromkeys((b, j) for (_, b), j in self.joint.items()))
 
     def realize(self, element) -> Track:
         """A track of length at most 2 + |W|^2 realizing the element, given
@@ -256,15 +255,15 @@ class _Table:
 
 class Elements:
     """One checking session's decisions of started-by-free formulas on
-    packed descriptor elements.
+    classes ``(v_in, v_fin, joint)``.
 
     A propositional kernel goes whole to the session's ``Kernels``,
-    meets/met-by read the witnessed elements anchored at an endpoint (over
-    a propositional child, only their distinct joints), and the inverse
-    started-by/finishes read the elements of the one-state extensions and
-    of the concatenations with witnessed elements.  Results are cached per
-    (subformula, element), the meets/met-by ones per (subformula,
-    endpoint), and the witness tables per (anchor, direction).
+    meets/met-by read the witnessed classes anchored at an endpoint, and
+    the inverse started-by/finishes read the classes of the one-state
+    extensions and of the concatenations with witnessed tracks.  Results
+    are cached per (subformula, class), the meets/met-by ones per
+    (subformula, endpoint), and the witness tables per (anchor,
+    direction).
     """
 
     def __init__(self, structure: KripkeStructure):
@@ -280,30 +279,29 @@ class Elements:
             self._tables[key] = _Table(self.k, anchor, forward)
         return self._tables[key]
 
-    def check(self, f: fm.Formula, element: Element) -> bool:
-        """Evaluate a started-by-free formula on a packed descriptor
-        element."""
+    def check(self, f: fm.Formula, c: Class) -> bool:
+        """Evaluate a started-by-free formula on a class."""
         if fm.is_propositional(f):
-            return self.kernels.holds(f, element)
-        key = (f, element)
+            return self.kernels.on_joint(f, c[2])
+        key = (f, c)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
         if isinstance(f, fm.Not):
-            result = not self.check(f.child, element)
+            result = not self.check(f.child, c)
         elif isinstance(f, fm.And):
-            result = self.check(f.left, element) and self.check(f.right, element)
+            result = self.check(f.left, c) and self.check(f.right, c)
         elif isinstance(f, fm.Or):
-            result = self.check(f.left, element) or self.check(f.right, element)
+            result = self.check(f.left, c) or self.check(f.right, c)
         elif isinstance(f, (fm.Diamond, fm.Box)):
             want = isinstance(f, fm.Diamond)
             if f.mod is fm.Modality.A:
-                found = self.anchored(f.child, want, element[2], True)
+                found = self.anchored(f.child, want, c[1], True)
             elif f.mod is fm.Modality.ABAR:
-                found = self.anchored(f.child, want, element[0], False)
+                found = self.anchored(f.child, want, c[0], False)
             else:
                 found = any(
-                    self.check(f.child, d) == want for d in self.related(f.mod, element)
+                    self.check(f.child, r) == want for r in self.related(f.mod, c)
                 )
             result = want == found
         else:
@@ -317,46 +315,41 @@ class Elements:
         violates the started-by-free formula, or None."""
         table = self.table(self.k.initial, True)
         for d in table.elements():
-            if not self.check(f, d):
+            if not self.check(f, (d[0], d[2], d[3])):
                 return table.realize(d)
         return None
 
     def anchored(self, child: fm.Formula, want: bool, anchor: int, forward: bool) -> bool:
-        """Whether some element witnessed from (forward) or into ``anchor``
+        """Whether some class witnessed from (forward) or into ``anchor``
         has ``child == want``: the meets/met-by answer, shared by every
-        element with that endpoint.  A propositional child only reads the
-        joint, so it is read once per distinct joint of the table."""
+        class with that endpoint."""
         key = (child, want, anchor, forward)
         cached = self.anchored_memo.get(key)
         if cached is None:
-            table = self.table(anchor, forward)
-            if fm.is_propositional(child):
-                cached = any(
-                    self.kernels.on_joint(child, joint) == want
-                    for joint in table.joints()
-                )
-            else:
-                cached = any(self.check(child, d) == want for d in table.elements())
+            cached = any(
+                self.check(child, (anchor, b, j) if forward else (b, anchor, j)) == want
+                for b, j in self.table(anchor, forward).classes
+            )
             self.anchored_memo[key] = cached
         return cached
 
-    def related(self, mod: fm.Modality, d: Element) -> Iterator[Element]:
-        """The packed elements of the tracks an inverse started-by/finishes
-        relates to a track with element ``d``, possibly repeated."""
+    def related(self, mod: fm.Modality, c: Class) -> Iterator[Class]:
+        """The classes of the tracks an inverse started-by/finishes relates
+        to a track of class ``c``, possibly repeated."""
         M = fm.Modality
-        v_in, internal, v_fin, joint = d
+        v_in, v_fin, joint = c
         label = self.k.label_mask
         if mod is M.BBAR:
             # t.v, then t followed by a track from v
             for v in self.k.successors(v_fin):
-                yield (v_in, internal | 1 << v_fin, v, joint & label(v))
-                for e in self.table(v, True).elements():
-                    yield _concat(d, e)
+                yield (v_in, v, joint & label(v))
+                for b, j in self.table(v, True).classes:
+                    yield (v_in, b, joint & j)
         elif mod is M.EBAR:
             for u in self.k.predecessors(v_in):
-                yield (u, internal | 1 << v_in, v_fin, joint & label(u))
-                for e in self.table(u, False).elements():
-                    yield _concat(e, d)
+                yield (u, v_fin, joint & label(u))
+                for b, j in self.table(u, False).classes:
+                    yield (b, v_fin, joint & j)
         else:
             raise FragmentError(
                 f"the representative engine cannot handle <{mod.value}> formulas"
@@ -416,10 +409,11 @@ class _Search:
 
     def _search(self, f: fm.Formula, d: Element) -> Track | None:
         if fm.is_propositional(f):
-            return self._realize(d) if self.kernels.holds(f, d) else None
+            return self._realize(d) if self.kernels.on_joint(f, d[3]) else None
         if not fm.modalities(f) & _SPLIT_MODALITIES:
-            # every track realizing d agrees on f: any of them is a witness
-            return self._realize(d) if self.elements.check(f, d) else None
+            # every track of d's class agrees on f: any of them is a witness
+            found = self.elements.check(f, (d[0], d[2], d[3]))
+            return self._realize(d) if found else None
         if isinstance(f, fm.Or):
             return self.search(f.left, d) or self.search(f.right, d)
         if isinstance(f, fm.Diamond) and f.mod in _EXISTS_MODALITIES:

@@ -38,9 +38,6 @@ class DescriptorElement:
     def is_type1(self) -> bool:
         return not self.is_type2
 
-    def internal_states(self) -> frozenset[int]:
-        return frozenset(_bits(self.internal))
-
     def format(self, structure: KripkeStructure) -> str:
         inner = ",".join(structure.state_name(i) for i in _bits(self.internal))
         return (

@@ -19,14 +19,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 @dataclass(frozen=True)
-class StateId:
-    """Handle for a state: its position in declaration order plus its name."""
-
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class Track:
     """A finite path of length >= 2, stored as state indices.
 
@@ -57,11 +49,6 @@ class Track:
     @property
     def lst(self) -> int:
         return self.states[-1]
-
-    def intstates(self) -> frozenset[int]:
-        """States strictly between the endpoints (may include the endpoint values
-        if they reoccur internally)."""
-        return frozenset(self.states[1:-1])
 
     def subtrack(self, i: int, j: int) -> "Track":
         """The track formed by positions i..j inclusive; requires i < j."""
@@ -184,10 +171,6 @@ class KripkeStructure:
     @property
     def states(self) -> tuple[str, ...]:
         return self._names
-
-    @property
-    def state_ids(self) -> tuple[StateId, ...]:
-        return tuple(StateId(i, n) for i, n in enumerate(self._names))
 
     @property
     def propositions(self) -> tuple[str, ...]:

@@ -260,6 +260,8 @@ def random_cnf(
     variables."""
     if n_vars < 1:
         raise ValueError("n_vars must be positive")
+    if n_clauses < 0:
+        raise ValueError("n_clauses must be nonnegative")
     clauses = []
     for _ in range(n_clauses):
         size = rng.randint(1, min(width, n_vars))

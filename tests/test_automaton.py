@@ -20,6 +20,8 @@ from hsmc import (
     parse_kripke,
 )
 
+from hsmc.conp import _Table
+
 from corpus import pair_free_stats, random_checker_formula, random_structure, random_walk
 
 
@@ -143,7 +145,21 @@ def test_memo_entries_are_masked_to_scope(fig4, k2):
             auto.holds(g, state)
         assert auto.memo
         for f, state in auto.memo:
-            assert state[4] & ~auto.scopes[f] == 0, (f, state)
+            assert state[3] & ~auto.scopes[f] == 0, (f, state)
+
+
+def test_states_without_bits_are_the_witnessed_classes(mutex):
+    # with no pair in scope a product state is a class (v_in, v_fin,
+    # joint): the automaton's states are exactly the classes of the
+    # witnessed elements over all anchors, with no internal mask to split
+    # them
+    auto = automaton._Automaton(mutex, normalize(parse_formula("[B]e0")))
+    classes = {
+        (e[0], e[2], e[3], 0)
+        for anchor in range(mutex.n_states)
+        for e in _Table(mutex, anchor, True).elements()
+    }
+    assert set(auto._reachable(0)) == classes
 
 
 def test_fragment(k2):

@@ -335,6 +335,12 @@ def test_bad_numeric_arguments_exit_code(files):
         ["unravel", "--model", model, "--state", "v0", "--k", "0", "--limit", "-3"]
     )
     assert (code, out) == (2, "")
+    code, out = _run(["descriptors", "--model", model, "--track", "v0 v1", "--k", "-3"])
+    assert (code, out) == (2, "")
+    prefix = model + ".cnf"
+    code, out = _run(["gen", "sat", "--vars", "3", "--clauses", "-1", "--out", prefix])
+    assert (code, out) == (2, "")
+    assert not os.path.exists(prefix + ".model")
 
 
 _USAGE = "usage: hsmc [-h] {check,counterexample,descriptors,unravel,oracle,gen} ...\n"

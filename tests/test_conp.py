@@ -37,7 +37,7 @@ from corpus import (
     random_structure,
     random_walk,
 )
-from hsmc.conp import Elements, Kernels, _concat, _Search, _Table, pack, unpack, val
+from hsmc.conp import Elements, Kernels, _Search, _Table, pack, unpack, val
 
 
 def _element(k, vin, inner, vfin):
@@ -270,7 +270,7 @@ def test_compiled_kernels_agree_with_oracle_on_every_witnessed_element(
         f = random_checker_formula(rng, props, max_modalities=0)
         for d, track in tracks.items():
             want = oracle_eval(structure, track, f)
-            assert session.holds(f, d) == want, (to_text(f), d)
+            assert session.on_joint(f, d[3]) == want, (to_text(f), d)
             assert val(f, unpack(d), structure) == want
 
 
@@ -284,12 +284,12 @@ def test_kernel_raises_on_modalities_after_a_deciding_letter(k2):
 def test_element_check_sends_a_propositional_and_to_the_kernel_whole(mutex):
     session = Elements(mutex)
     sent = []
-    holds = session.kernels.holds
-    session.kernels.holds = lambda f, d: sent.append(f) or holds(f, d)
+    on_joint = session.kernels.on_joint
+    session.kernels.on_joint = lambda f, j: sent.append(f) or on_joint(f, j)
     f = normalize(parse_formula("r0 & (r1 | !e0) & !(x0 & e1)"))
     d = pack(mutex, _element(mutex, "w1", ("w3",), "w4"))
     track = _Table(mutex, d[0], True).realize(d)
-    assert session.check(f, d) == oracle_eval(mutex, track, f)
+    assert session.check(f, (d[0], d[2], d[3])) == oracle_eval(mutex, track, f)
     assert sent == [f]
 
 
@@ -299,28 +299,57 @@ def _joint(k, element):
 
 
 def test_packed_elements_carry_their_joint_label_mask():
-    # the table walk, the inverse clauses' extensions and the packed
-    # concatenation each build the joint from pieces; every one must be
-    # the AND of the labels of all of the element's states
+    # the table walk and the inverse clauses' extensions each build the
+    # joint from pieces; every table element's joint must be the AND of
+    # the labels of all of its states, and every class the inverse clauses
+    # yield must be the class of a witnessed track.  That the classes are
+    # exactly those of the extensions is checked in test_checker.py
     rng = random.Random(66)
     for _ in range(40):
         k = random_structure(rng, max_states=4, max_props=3)
         elements = Elements(k)
         packed = []
+        witnessed = {}
         for anchor in range(k.n_states):
             for forward in (True, False):
                 for e in _Table(k, anchor, forward).elements():
                     assert e[3] == _joint(k, e), e
                     packed.append(e)
+                    witnessed.setdefault(forward, set()).add((e[0], e[2], e[3]))
         sample = rng.sample(packed, min(8, len(packed)))
         for e in sample:
-            for mod in (fm.Modality.BBAR, fm.Modality.EBAR):
-                for r in elements.related(mod, e):
-                    assert r[3] == _joint(k, r), (mod, e, r)
-            for e2 in sample:
-                c = _concat(e, e2)
-                assert c[3] == _joint(k, c), (e, e2)
-                assert unpack(c) == concat_descr(unpack(e), unpack(e2))
+            for mod, forward in ((fm.Modality.BBAR, True), (fm.Modality.EBAR, False)):
+                for r in elements.related(mod, (e[0], e[2], e[3])):
+                    assert r in witnessed[forward], (mod, e, r)
+
+
+def test_elements_of_one_class_agree_on_started_by_free_formulas():
+    # a started-by-free formula reads only an element's class (v_in, v_fin,
+    # joint): elements that differ only in their internal mask get one
+    # oracle verdict on their realizations, and Elements.check on the
+    # class gives that verdict
+    rng = random.Random(73)
+    shared = 0
+    for _ in range(40):
+        k = random_structure(rng, max_states=3)
+        limit = pair_free_stats(k, 0)[0]
+        if limit > 9:
+            continue
+        config = OracleConfig(depth_bound=limit + 1)
+        elements = Elements(k)
+        by_class = {}
+        for anchor in range(k.n_states):
+            table = elements.table(anchor, True)
+            for e in table.elements():
+                by_class.setdefault((e[0], e[2], e[3]), []).append(table.realize(e))
+        groups = {c: tracks for c, tracks in by_class.items() if len(tracks) > 1}
+        shared += len(groups)
+        for _ in range(4):
+            g = normalize(random_checker_formula(rng, [*k.propositions, "zz"], max_nest=0))
+            for c, tracks in groups.items():
+                truths = {oracle_eval(k, t, g, config) for t in tracks}
+                assert truths == {elements.check(g, c)}, (to_text(g), c, tracks)
+    assert shared >= 80  # classes that merge several elements are exercised
 
 
 def test_packed_table_elements_are_the_packed_brute_force_elements():
@@ -361,7 +390,8 @@ def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
                     truths = {oracle_eval(k, table.realize(e), f) for e in table.elements()}
                     for want in (True, False):
                         per_element = any(
-                            elements.check(f, e) == want for e in table.elements()
+                            elements.check(f, (e[0], e[2], e[3])) == want
+                            for e in table.elements()
                         )
                         assert per_element == (want in truths)
                         got = elements.anchored(f, want, anchor, forward)

@@ -56,7 +56,7 @@ def test_track_ops_on_k2(k2):
     assert t.fst == 0 and t.lst == 0
     assert [k2.track_str(p) for p in t.prefixes()] == ["v0 v1"]
     assert [k2.track_str(s) for s in t.suffixes()] == ["v1 v0"]
-    assert t.intstates() == {1}
+    assert t.states[1:-1] == (1,)
 
     short = k2.track("v0 v1")
     assert list(short.prefixes()) == []
@@ -67,7 +67,7 @@ def test_track_ops_on_longer_walk(fig4):
     t = fig4.track("v0 v0 v0 v1 v2")
     assert fig4.state_name(t.fst) == "v0"
     assert fig4.state_name(t.lst) == "v2"
-    assert {fig4.state_name(s) for s in t.intstates()} == {"v0", "v1"}
+    assert [fig4.state_name(s) for s in t.states[1:-1]] == ["v0", "v0", "v1"]
 
 
 def test_track_validation(k2):
@@ -141,4 +141,4 @@ def test_declaration_order_is_preserved():
     text = "states: z9 a1 m5\ninit: m5\nedges: z9->a1 a1->m5 m5->z9\n"
     k = parse_kripke(text)
     assert k.states == ("z9", "a1", "m5")
-    assert k.state_ids[1].name == "a1" and k.state_ids[1].index == 1
+    assert k.state_name(1) == "a1" and k.state_index("a1") == 1
