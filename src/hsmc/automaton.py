@@ -36,8 +36,8 @@ not contain the pair, so its scope is strictly smaller, and the recursion
 is well-founded.
 
 At started-by depth 0 there are no pairs and a state is exactly a witnessed
-class, so ``mod_check`` checks the initial state's witnessed elements as
-``checker.mod_check`` does.
+class, so ``mod_check`` checks the initial state's witnessed classes in
+breadth-first order, as ``checker.mod_check`` does.
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def mod_check(structure: KripkeStructure, f: fm.Formula) -> Verdict:
     The product states of the initial tracks are searched breadth-first and
     each is checked when it is dequeued, so a violation comes with a
     shortest violating initial track.  At started-by depth 0 the initial
-    state's witnessed elements are checked instead, as in
-    ``checker.mod_check``.
+    state's witnessed classes are checked instead, as in
+    ``checker.mod_check``, with the same result.
     """
     g = fm.normalize(f)
     _require_fragment(g)

@@ -4,7 +4,7 @@ A formula without started-by is true on a track iff it is true on the
 track's class (entry state, final state, joint label mask), and
 ``conp.Elements`` decides such subformulas on the class.  At
 started-by nesting depth 0, ``mod_check`` therefore checks the initial
-state's witnessed elements and walks no track.  At depth k >= 1 it walks
+state's witnessed classes and walks no track.  At depth k >= 1 it walks
 the representatives of the initial tracks; started-by descends to proper
 prefixes with one less nesting budget, and meets/met-by/inverse clauses
 over a child with started-by consult fresh unravellings.  Sound and
@@ -184,9 +184,9 @@ def mod_check(
 ) -> Verdict:
     """Check the formula against every initial track of the structure.
 
-    At started-by depth 0 the initial state's witnessed elements are checked
-    in ``(internal, v_in, v_fin)`` order, and a violation comes with the
-    shortest track realizing the first violating element.  At depth 1 and
+    At started-by depth 0 the initial state's witnessed classes are checked
+    in breadth-first order, and a violation comes with a shortest violating
+    initial track, as in ``automaton.mod_check``.  At depth 1 and
     more the initial representatives are walked, and a violation comes with
     the first falsifying one.  ``max_tau`` refuses runs whose representative
     length bound exceeds the given ceiling; depth-0 runs walk no stream and

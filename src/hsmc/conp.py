@@ -22,6 +22,9 @@ one state b gives the class ``(v_in, b, J & label(b))``, by a track of
 class ``(w, b, j)`` the class ``(v_in, b, J & j)``, and to the left the
 mirror.  ``Elements`` decides such formulas on classes, one session per
 request, for the search here, the automaton and the representative walk.
+It walks classes, not elements: its witness tables are keyed by
+``(joint, boundary)``, and its memo by the class with the joint masked to
+the letters the subformula reads.
 """
 
 from __future__ import annotations
@@ -150,26 +153,38 @@ def concat_descr(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElem
 
 
 class _Table:
-    """Witnessed descriptor elements anchored at one state, with parent
-    pointers for shortest realizations.
+    """Witnessed descriptor elements, or their classes, anchored at one
+    state, with parent pointers for shortest realizations.
 
-    Forward: elements of tracks starting at the anchor, closed under
-    extending a realization by one edge.  Backward: elements of tracks
-    ending at the anchor, closed under prepending.  One breadth-first walk
-    over ``(internal mask, boundary)`` keys serves both; the boundary is
-    the final state going forward and the first state going backward, so
-    only the neighbour function and the element's orientation depend on
-    the direction.  Breadth-first order keeps every realization within the
-    quadratic length bound.
+    Forward: tracks starting at the anchor, closed under extending a track
+    by one edge.  Backward: tracks ending at the anchor, closed under
+    prepending.  One breadth-first walk over ``(fold, boundary)`` keys
+    serves both; the boundary is the final state going forward and the
+    first state going backward, so only the neighbour function and the
+    element's orientation depend on the direction.  Breadth-first order
+    keeps every realization within the quadratic length bound.
 
-    The walk carries each key's joint label mask: extending a realization
-    by a state turns the old boundary internal, whose label is already in
-    the joint, and adds the new boundary's label, one ``&`` per key.  The
-    elements come out packed, ``(v_in, internal, v_fin, joint)``, and the
-    distinct ``(boundary, joint)`` pairs give the witnessed classes.
+    The walk carries each key's joint label mask: extending a track by a
+    state ANDs in the new boundary's label, one ``&`` per key.  Only the
+    fold differs between the two keyings:
+
+    - by internal mask (the default): the fold is the element's internal
+      mask, and the old boundary turns internal at each step.  The keys are
+      the witnessed elements, which come out packed, ``(v_in, internal,
+      v_fin, joint)``.
+    - ``by_joint``: the fold is the joint itself.  The class of a one-state
+      extension depends only on the track's class, so the keys are the
+      witnessed classes ``(joint, boundary)``, each reached once, in order
+      of its shortest realization.
     """
 
-    def __init__(self, structure: KripkeStructure, anchor: int, forward: bool):
+    def __init__(
+        self,
+        structure: KripkeStructure,
+        anchor: int,
+        forward: bool,
+        by_joint: bool = False,
+    ):
         self.k = structure
         self.anchor = anchor
         self.forward = forward
@@ -181,18 +196,20 @@ class _Table:
         parent, joints = self.parent, self.joint
         queue: deque[tuple[int, int]] = deque()
         for w in neighbours(anchor):
-            key = (0, w)
+            joint = labels[anchor] & labels[w]
+            key = (joint if by_joint else 0, w)
             if key not in parent:
                 parent[key] = None
-                joints[key] = labels[anchor] & labels[w]
+                joints[key] = joint
                 queue.append(key)
         while queue:
             item = queue.popleft()
-            mask, boundary = item
-            mask |= 1 << boundary
+            fold, boundary = item
+            if not by_joint:
+                fold |= 1 << boundary
             joint = joints[item]
             for nxt in neighbours(boundary):
-                key = (mask, nxt)
+                key = (joint & labels[nxt] if by_joint else fold, nxt)
                 if key not in parent:
                     parent[key] = item
                     joints[key] = joint & labels[nxt]
@@ -231,18 +248,16 @@ class _Table:
             self._elements = tuple(out)
         return self._elements
 
-    @cached_property
-    def classes(self) -> tuple[tuple[int, int], ...]:
-        """The distinct ``(boundary, joint)`` pairs of the witnessed
-        elements: with the anchor, their classes."""
-        return tuple(dict.fromkeys((b, j) for (_, b), j in self.joint.items()))
-
     def realize(self, element) -> Track:
         """A track of length at most 2 + |W|^2 realizing the element, given
         packed or as a ``(v_in, internal, v_fin)`` triple."""
         key = self._key(element)
         if key not in self.parent:
             raise KeyError(f"element {element} is not witnessed at this anchor")
+        return self.track(key)
+
+    def track(self, key: tuple[int, int]) -> Track:
+        """The shortest track the walk reached a key by."""
         hops = []
         cursor: tuple[int, int] | None = key
         while cursor is not None:
@@ -253,6 +268,29 @@ class _Table:
         return Track((*hops, self.anchor))
 
 
+_ENDPOINT_MODALITIES = frozenset({fm.Modality.A, fm.Modality.ABAR})
+
+
+def _letters(f: fm.Formula, structure: KripkeStructure) -> int:
+    """The letters of the structure that a started-by-free formula reads on
+    its own track: those of its kernels, not counting the ones below
+    ``<A>``/``<Ai>``, whose children are read on other tracks."""
+    letters = 0
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, fm.Prop):
+            if g.name in structure.propositions:
+                letters |= structure.prop_mask(g.name)
+        elif isinstance(g, fm.Not):
+            todo.append(g.child)
+        elif isinstance(g, (fm.And, fm.Or)):
+            todo += (g.left, g.right)
+        elif isinstance(g, (fm.Diamond, fm.Box)) and g.mod not in _ENDPOINT_MODALITIES:
+            todo.append(g.child)
+    return letters
+
+
 class Elements:
     """One checking session's decisions of started-by-free formulas on
     classes ``(v_in, v_fin, joint)``.
@@ -260,29 +298,40 @@ class Elements:
     A propositional kernel goes whole to the session's ``Kernels``,
     meets/met-by read the witnessed classes anchored at an endpoint, and
     the inverse started-by/finishes read the classes of the one-state
-    extensions and of the concatenations with witnessed tracks.  Results
-    are cached per (subformula, class), the meets/met-by ones per
-    (subformula, endpoint), and the witness tables per (anchor,
-    direction).
+    extensions and of the concatenations with witnessed tracks; all of
+    these classes come from the joint-keyed walks of ``_Table``.  A
+    subformula's class is first masked to the letters the subformula reads
+    (``_letters``): a kernel reads only its own letters, and ``<Bi>``/
+    ``<Ei>`` pass on ``joint & j`` to a child that reads a subset of them,
+    so classes that differ only in other letters share one result.
+    Results are cached per (subformula, masked class), the meets/met-by
+    ones per (subformula, endpoint), and the witness tables per (anchor,
+    direction, keying).
     """
 
     def __init__(self, structure: KripkeStructure):
         self.k = structure
         self.kernels = Kernels(structure)
-        self._tables: dict[tuple[int, bool], _Table] = {}
+        self._tables: dict[tuple[int, bool, bool], _Table] = {}
+        self.letters: dict[fm.Formula, int] = {}
         self.memo: dict[tuple, bool] = {}
         self.anchored_memo: dict[tuple, bool] = {}
 
-    def table(self, anchor: int, forward: bool) -> _Table:
-        key = (anchor, forward)
-        if key not in self._tables:
-            self._tables[key] = _Table(self.k, anchor, forward)
-        return self._tables[key]
+    def table(self, anchor: int, forward: bool, by_joint: bool = False) -> _Table:
+        key = (anchor, forward, by_joint)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _Table(self.k, anchor, forward, by_joint)
+        return table
 
     def check(self, f: fm.Formula, c: Class) -> bool:
         """Evaluate a started-by-free formula on a class."""
         if fm.is_propositional(f):
             return self.kernels.on_joint(f, c[2])
+        letters = self.letters.get(f)
+        if letters is None:
+            letters = self.letters[f] = _letters(f, self.k)
+        c = (c[0], c[1], c[2] & letters)
         key = (f, c)
         cached = self.memo.get(key)
         if cached is not None:
@@ -311,12 +360,15 @@ class Elements:
 
     def initial_violation(self, f: fm.Formula) -> Track | None:
         """The shortest track realizing the first of the initial state's
-        witnessed elements, in ``(internal, v_in, v_fin)`` order, that
-        violates the started-by-free formula, or None."""
-        table = self.table(self.k.initial, True)
-        for d in table.elements():
-            if not self.check(f, (d[0], d[2], d[3])):
-                return table.realize(d)
+        witnessed classes, in breadth-first order, that violates the
+        started-by-free formula: a shortest violating initial track, or
+        None."""
+        a = self.k.initial
+        table = self.table(a, True, by_joint=True)
+        for key in table.parent:
+            joint, b = key
+            if not self.check(f, (a, b, joint)):
+                return table.track(key)
         return None
 
     def anchored(self, child: fm.Formula, want: bool, anchor: int, forward: bool) -> bool:
@@ -328,7 +380,7 @@ class Elements:
         if cached is None:
             cached = any(
                 self.check(child, (anchor, b, j) if forward else (b, anchor, j)) == want
-                for b, j in self.table(anchor, forward).classes
+                for j, b in self.table(anchor, forward, by_joint=True).parent
             )
             self.anchored_memo[key] = cached
         return cached
@@ -343,12 +395,12 @@ class Elements:
             # t.v, then t followed by a track from v
             for v in self.k.successors(v_fin):
                 yield (v_in, v, joint & label(v))
-                for b, j in self.table(v, True).classes:
+                for j, b in self.table(v, True, by_joint=True).parent:
                     yield (v_in, b, joint & j)
         elif mod is M.EBAR:
             for u in self.k.predecessors(v_in):
                 yield (u, v_fin, joint & label(u))
-                for b, j in self.table(u, False).classes:
+                for j, b in self.table(u, False, by_joint=True).parent:
                     yield (b, v_fin, joint & j)
         else:
             raise FragmentError(

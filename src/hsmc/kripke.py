@@ -328,10 +328,10 @@ def serialize_kripke(structure: KripkeStructure) -> str:
         lines.append("props: " + " ".join(structure.propositions))
     lines.append("states: " + " ".join(structure.states))
     lines.append("init: " + structure.initial_name)
+    props = structure.propositions
     for i, name in enumerate(structure.states):
-        label = sorted(
-            structure.label_set(i), key=lambda p: structure.propositions.index(p)
-        )
+        mask = structure.label_mask(i)
+        label = [p for bit, p in enumerate(props) if mask >> bit & 1]
         if label:
             lines.append(f"label {name}: " + " ".join(label))
     for i, name in enumerate(structure.states):

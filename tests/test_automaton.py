@@ -18,9 +18,12 @@ from hsmc import (
     oracle_mod_check,
     parse_formula,
     parse_kripke,
+    to_text,
 )
 
+from hsmc import conp
 from hsmc.conp import _Table
+from hsmc.oracle import all_tracks
 
 from corpus import pair_free_stats, random_checker_formula, random_structure, random_walk
 
@@ -160,6 +163,86 @@ def test_states_without_bits_are_the_witnessed_classes(mutex):
         for e in _Table(mutex, anchor, True).elements()
     }
     assert set(auto._reachable(0)) == classes
+    # the joint-keyed walk reaches each of those classes exactly once
+    walked = [
+        (anchor, b, j, 0)
+        for anchor in range(mutex.n_states)
+        for j, b in _Table(mutex, anchor, True, by_joint=True).parent
+    ]
+    assert len(walked) == len(set(walked))
+    assert set(walked) == classes
+
+
+SIX_TEXT = """\
+props: p q r
+states: s0 s1 s2 s3 s4 s5
+init: s0
+label s0: p q r
+label s1: r
+label s2: p q
+label s3: p r
+label s4: p q
+label s5: p
+edges: s0->s0 s0->s2 s0->s4 s0->s5 s1->s1 s1->s5 s2->s3 s2->s4 s2->s5 s3->s1 s3->s4 s4->s1 s4->s5 s5->s3 s5->s4
+"""
+
+
+def test_depth0_counterexample_is_a_shortest_violating_initial_track():
+    # both track engines realize the first violating class of the
+    # breadth-first class walk; the first violating element in (internal,
+    # v_in, v_fin) order would give the longer s0 s2 s3 s1
+    structure = parse_kripke(SIX_TEXT)
+    f = parse_formula("<Bi>p")
+    for engine in (automaton.mod_check, mod_check):
+        verdict = engine(structure, f)
+        assert structure.track_str(verdict.counterexample) == "s0 s4 s1"
+
+
+def test_depth0_counterexamples_have_the_shortest_refuted_length():
+    # the oracle refutes each depth-0 counterexample and no shorter initial
+    # track.  A letter of the initial state is or-ed onto the random
+    # formula, so that short tracks tend to satisfy it
+    rng = random.Random(83)
+    tested = longer = 0
+    while tested < 200:
+        structure = random_structure(rng, max_states=5, max_props=3)
+        mine = sorted(structure.label_set(structure.initial))
+        if structure.n_states < 2 or not mine:
+            continue
+        g = random_checker_formula(rng, [*structure.propositions, "zz"], max_nest=0)
+        g = normalize(fm.Or(fm.Prop(rng.choice(mine)), g))
+        stats = pair_free_stats(structure, 0, cap_count=20_000)
+        if stats is None or stats[0] > 9:
+            continue
+        tested += 1
+        verdict = automaton.mod_check(structure, g)
+        assert verdict == mod_check(structure, g), to_text(g)
+        if verdict.holds:
+            continue
+        config = OracleConfig(depth_bound=stats[0] + 1)
+        ce = verdict.counterexample
+        assert not oracle_eval(structure, ce, g, config), to_text(g)
+        shorter = all_tracks(structure, structure.initial, len(ce) - 1)
+        assert all(oracle_eval(structure, t, g, config) for t in shorter), to_text(g)
+        longer += len(ce) > 2
+    assert longer >= 5  # counterexamples longer than two states are exercised
+
+
+@pytest.mark.parametrize("text", ["[A]q", "<Bi>p", "[A](<Bi>q | p)"])
+def test_depth0_tables_are_built_through_the_module_global(monkeypatch, k2, text):
+    # the benchmark's tracer counts witness tables by patching conp._Table
+    # by name; the depth-0 element path must build its class walks through
+    # it, the initial state's forward one included
+    built = []
+    table = conp._Table
+
+    def counting(structure, anchor, forward, by_joint=False):
+        built.append((anchor, forward, by_joint))
+        return table(structure, anchor, forward, by_joint)
+
+    monkeypatch.setattr(conp, "_Table", counting)
+    assert not automaton.mod_check(k2, parse_formula(text)).holds
+    assert (k2.initial, True, True) in built
 
 
 def test_fragment(k2):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -275,6 +276,65 @@ def test_gen_round_trips(files, tmp_path):
         ["check", "--model", prefix + ".model", "--formula", prefix + ".formula"]
     )
     assert code in (0, 1)
+
+
+_QBF_2_7_MODEL = """\
+props: x2 x1 start x2_aux x1_aux
+states: w0 w1 w_x2_t1 w_x2_t2 w_x2_f1 w_x2_f2 w_x1_t1 w_x1_t2 w_x1_f1 w_x1_f2 sink
+init: w0
+label w0: x2 x1 start
+label w1: x2 x1 start
+label w_x2_t1: x2 x1 x2_aux
+label w_x2_t2: x2 x1 x2_aux
+label w_x2_f1: x1 x2_aux
+label w_x2_f2: x1 x2_aux
+label w_x1_t1: x2 x1 x1_aux
+label w_x1_t2: x2 x1 x1_aux
+label w_x1_f1: x2 x1_aux
+label w_x1_f2: x2 x1_aux
+label sink: x2 x1
+edges: w0->w1
+edges: w1->w_x2_t1 w1->w_x2_f1
+edges: w_x2_t1->w_x2_t2
+edges: w_x2_t2->w_x1_t1 w_x2_t2->w_x1_f1
+edges: w_x2_f1->w_x2_f2
+edges: w_x2_f2->w_x1_t1 w_x2_f2->w_x1_f1
+edges: w_x1_t1->w_x1_t2
+edges: w_x1_t2->sink
+edges: w_x1_f1->w_x1_f2
+edges: w_x1_f2->sink
+edges: sink->sink
+"""
+
+
+@pytest.mark.parametrize(
+    "args, model_sha, formula_sha",
+    [
+        (
+            "qbf --vars 8 --seed 3",
+            "c02f9591174b5ff787372c8eadce5f13644d2171b81dee49eb9286f71dd00c34",
+            "3b27ba574455e726437b5c2585627253dca8d0ad77d5cebef2b0205d8a7b05d7",
+        ),
+        (
+            "sat --vars 12 --clauses 40 --seed 5",
+            "9f82d2b264933cdcc6376611684c9de5ec0ff5fdee7f7e255f59394a5a4944f0",
+            "966af851e30878241569307521765b0c6610fdc22978689f970dbc1e449bfb9d",
+        ),
+    ],
+)
+def test_gen_output_is_fixed_per_seed(tmp_path, args, model_sha, formula_sha):
+    # the digests pin whole files of instances the size the benchmark uses
+    prefix = str(tmp_path / "inst")
+    assert _run(["gen", *args.split(), "--out", prefix])[0] == 0
+    for suffix, want in ((".model", model_sha), (".formula", formula_sha)):
+        with open(prefix + suffix, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == want, suffix
+
+
+def test_gen_writes_labels_in_declaration_order(tmp_path):
+    prefix = str(tmp_path / "inst")
+    assert _run(["gen", "qbf", "--vars", "2", "--seed", "7", "--out", prefix])[0] == 0
+    assert open(prefix + ".model").read() == _QBF_2_7_MODEL
 
 
 def test_deterministic_output(files):

@@ -37,7 +37,7 @@ from corpus import (
     random_structure,
     random_walk,
 )
-from hsmc.conp import Elements, Kernels, _Search, _Table, pack, unpack, val
+from hsmc.conp import Elements, Kernels, _letters, _Search, _Table, pack, unpack, val
 
 
 def _element(k, vin, inner, vfin):
@@ -350,6 +350,61 @@ def test_elements_of_one_class_agree_on_started_by_free_formulas():
                 truths = {oracle_eval(k, t, g, config) for t in tracks}
                 assert truths == {elements.check(g, c)}, (to_text(g), c, tracks)
     assert shared >= 80  # classes that merge several elements are exercised
+
+
+def test_element_memo_entries_are_masked_to_letters(mutex, sched):
+    # a subformula is read on its class with the joint masked to the
+    # letters it reads, not counting those below <A>/<Ai>, so classes that
+    # differ only in other letters share one memo entry
+    for structure, text, read in (
+        (mutex, "[A](r0 -> <Bi>(e0 | [Ai]x0)) & <Ei>(r1 & !e1)", ("r1", "e1")),
+        (sched, "<Bi>(p1 & [A]p2) | [Ei](p3 | <Ai>!p1)", ("p1", "p3")),
+    ):
+        g = normalize(parse_formula(text))
+        session = Elements(structure)
+        for anchor in range(structure.n_states):
+            for j, b in session.table(anchor, True, by_joint=True).parent:
+                session.check(g, (anchor, b, j))
+        assert session.letters[g] == sum(map(structure.prop_mask, read))
+        assert session.memo
+        for f, c in session.memo:
+            assert c[2] & ~_letters(f, structure) == 0, (to_text(f), c)
+
+
+def test_element_check_agrees_with_oracle_on_every_witnessed_class():
+    # the joint-keyed walk realizes each class it reaches by a track of
+    # that class, and Elements.check gives the oracle's verdict on it
+    def class_of(track):
+        e = pack(k, descriptor_element(track))
+        return (e[0], e[2], e[3])
+
+    rng = random.Random(74)
+    tested = 0
+    while tested < 60:
+        k = random_structure(rng, max_states=4, max_props=3)
+        stats = pair_free_stats(k, 0, cap_count=20_000)
+        if stats is None or stats[0] > 9:
+            continue
+        tested += 1
+        config = OracleConfig(depth_bound=stats[0] + 1)
+        elements = Elements(k)
+        tracks = {}
+        for anchor in range(k.n_states):
+            for forward in (True, False):
+                table = elements.table(anchor, forward, by_joint=True)
+                for key in table.parent:
+                    track = table.track(key)
+                    c = class_of(track)
+                    want = (anchor, key[1], key[0]) if forward else (key[1], anchor, key[0])
+                    assert c == want, (track, key)
+                    tracks[c] = track
+        for _ in range(6):
+            g = normalize(random_checker_formula(rng, [*k.propositions, "zz"], max_nest=0))
+            for c, track in tracks.items():
+                assert elements.check(g, c) == oracle_eval(k, track, g, config), (
+                    to_text(g),
+                    c,
+                )
 
 
 def test_packed_table_elements_are_the_packed_brute_force_elements():
