@@ -1,13 +1,15 @@
-"""Counterexample search over descriptor elements.
+"""Counterexample search over classes of tracks.
 
 For formulas in the universal meets/met-by/starts/finishes fragment a
-violation can be certified at the level of descriptor elements alone: every
-element witnessed in the structure is realized by a short track (quadratic
-in the state count), and the existential dual of the property can be decided
-by composing witnessed elements, trying for started-by both the drop-one-
-state decomposition and the two-piece split.  The search is a deterministic
-exhaustive rendering of the underlying guess-and-verify procedure, with the
-accepting choices replayed to assemble a concrete violating track.
+violation is a short initial track on which the existential dual holds.
+The dual has ``&`` only inside its propositional kernels, so the set of
+classes ``(v_in, v_fin, J)`` (below) on which it can hold composes
+bottom-up from the witnessed classes: ``Elements.satisfying`` maps every
+such class to the length of its shortest satisfying track and one
+derivation, and the search replays the derivation of the shortest initial
+class alone.  It is a deterministic exhaustive rendering of the paper's
+guess-and-verify procedure; only ``witnessed_elements`` and
+``realize_element`` still walk descriptor elements.
 
 Inside the engines an element is packed as an ``Element`` tuple that
 carries its joint label mask J, the AND of the label masks of all of its
@@ -30,13 +32,12 @@ the letters the subformula reads.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import Iterator
 
 from . import formula as fm
 from .errors import FragmentError
 from .kripke import KripkeStructure, Track
-from .descriptor import DescriptorElement
+from .descriptor import DescriptorElement, descriptor_element
 
 
 def _compile(f: fm.Formula, structure: KripkeStructure, positive: bool = True):
@@ -101,6 +102,14 @@ Element = tuple[int, int, int, int]
 # The class (v_in, v_fin, joint) of an element: all that a started-by-free
 # formula reads.
 Class = tuple[int, int, int]
+# How Elements.replay rebuilds a track of some class: None for the shortest
+# track of the class in its first state's joint-keyed table, or (forward,
+# previous class, its derivation) for a track of the previous class extended
+# by the class's last state when forward, else by its first state.
+Derivation = tuple | None
+# A class's entry in Elements.satisfying: the length of its shortest
+# satisfying track, and a derivation of one.
+Witness = tuple[int, Derivation]
 
 
 def pack(structure: KripkeStructure, d: DescriptorElement) -> Element:
@@ -215,25 +224,12 @@ class _Table:
                     joints[key] = joint & labels[nxt]
                     queue.append(key)
 
-    @cached_property
-    def masks_by_boundary(self) -> dict[int, list[int]]:
-        """The internal masks of the witnessed elements, per boundary."""
-        by_boundary: dict[int, list[int]] = {}
-        for mask, boundary in self.parent:
-            by_boundary.setdefault(boundary, []).append(mask)
-        return by_boundary
-
     def _key(self, element) -> tuple[int, int] | None:
         if self.forward:
             anchor, boundary = element[0], element[2]
         else:
             anchor, boundary = element[2], element[0]
         return (element[1], boundary) if anchor == self.anchor else None
-
-    def find(self, v_in: int, internal: int, v_fin: int) -> Element | None:
-        """The packed element if it is witnessed at this anchor."""
-        joint = self.joint.get(self._key((v_in, internal, v_fin)))
-        return None if joint is None else (v_in, internal, v_fin, joint)
 
     def elements(self) -> tuple[Element, ...]:
         """The witnessed elements in (internal, v_in, v_fin) order, sorted
@@ -307,6 +303,10 @@ class Elements:
     Results are cached per (subformula, masked class), the meets/met-by
     ones per (subformula, endpoint), and the witness tables per (anchor,
     direction, keying).
+
+    For the counterexample search the session also maps an existential-
+    fragment formula to the classes of its satisfying tracks from an
+    anchor (``satisfying``), cached per (formula, anchor).
     """
 
     def __init__(self, structure: KripkeStructure):
@@ -316,6 +316,7 @@ class Elements:
         self.letters: dict[fm.Formula, int] = {}
         self.memo: dict[tuple, bool] = {}
         self.anchored_memo: dict[tuple, bool] = {}
+        self.witnesses: dict[tuple[fm.Formula, int], dict[Class, Witness]] = {}
 
     def table(self, anchor: int, forward: bool, by_joint: bool = False) -> _Table:
         key = (anchor, forward, by_joint)
@@ -407,6 +408,113 @@ class Elements:
                 f"the representative engine cannot handle <{mod.value}> formulas"
             )
 
+    def satisfying(self, f: fm.Formula, anchor: int) -> dict[Class, Witness]:
+        """The classes of the tracks from ``anchor`` that satisfy the
+        existential-fragment formula, each with the length of its shortest
+        such track and a derivation of one for ``replay``.
+
+        The fragment has ``&`` only inside kernels, so the classes compose:
+        a kernel keeps the table classes whose joint passes it, ``|`` joins
+        its children's maps, ``<A>``/``<Ai>`` keep every table class whose
+        last/first state anchors/ends a satisfying track, and ``<B>``/
+        ``<E>`` extend the child's classes by one state at a time.
+        """
+        found = self.witnesses.get((f, anchor))
+        if found is not None:
+            return found
+        M = fm.Modality
+        if fm.is_propositional(f):
+            table = self.table(anchor, True, by_joint=True)
+            lengths: dict[tuple[int, int], int] = {}
+            found = {}
+            for key, parent in table.parent.items():
+                n = lengths[key] = 2 if parent is None else lengths[parent] + 1
+                if self.kernels.on_joint(f, key[0]):
+                    found[(anchor, key[1], key[0])] = (n, None)
+        elif isinstance(f, fm.Or):
+            found = dict(self.satisfying(f.right, anchor))
+            for c, witness in self.satisfying(f.left, anchor).items():
+                if witness[0] <= found.get(c, witness)[0]:
+                    found[c] = witness
+        elif not isinstance(f, fm.Diamond) or f.mod not in (M.A, M.ABAR, M.B, M.E):
+            raise FragmentError(
+                "the counterexample engine handles the existential "
+                "meets/met-by/starts/finishes fragment only"
+            )
+        elif f.mod is M.A:
+            found = {
+                c: witness
+                for c, witness in self.satisfying(fm.TOP, anchor).items()
+                if self.satisfying(f.child, c[1])
+            }
+        elif f.mod is M.B:
+            found = self._extend(self.satisfying(f.child, anchor), True)
+        else:
+            # <Ai>/<E> read the child's classes at every anchor: decide
+            # every anchor at once
+            below: dict[Class, Witness] = {}
+            for u in range(self.k.n_states):
+                below.update(self.satisfying(f.child, u))
+            if f.mod is M.E:
+                above = self._extend(below, False)
+            else:
+                ends = {c[1] for c in below}
+                above = {
+                    c: witness
+                    for u in ends
+                    for c, witness in self.satisfying(fm.TOP, u).items()
+                }
+            for u in range(self.k.n_states):
+                self.witnesses[(f, u)] = {}
+            for c, witness in above.items():
+                self.witnesses[(f, c[0])][c] = witness
+            return self.witnesses[(f, anchor)]
+        self.witnesses[(f, anchor)] = found
+        return found
+
+    def _extend(
+        self, seeds: dict[Class, Witness], forward: bool
+    ) -> dict[Class, Witness]:
+        """The classes of the tracks that extend a track of a seed class by
+        one or more states, to the right when ``forward``, else to the
+        left: a breadth-first walk over classes from seeds of many lengths,
+        so each class is reached first by its shortest extension."""
+        label = self.k.label_mask
+        neighbours = self.k.successors if forward else self.k.predecessors
+        todo: dict[int, list[tuple[Class, Derivation]]] = {}
+        for c, (n, how) in seeds.items():
+            todo.setdefault(n, []).append((c, how))
+        found: dict[Class, Witness] = {}
+        while todo:
+            n = min(todo)
+            for c, how in todo.pop(n):
+                v_in, v_fin, joint = c
+                for v in neighbours(v_fin if forward else v_in):
+                    if forward:
+                        nxt = (v_in, v, joint & label(v))
+                    else:
+                        nxt = (v, v_fin, joint & label(v))
+                    if nxt not in found:
+                        step = (forward, c, how)
+                        found[nxt] = (n + 1, step)
+                        todo.setdefault(n + 1, []).append((nxt, step))
+        return found
+
+    def replay(self, c: Class, how: Derivation) -> Track:
+        """The track of class ``c`` that a derivation from ``satisfying``
+        describes."""
+        left: list[int] = []
+        right: list[int] = []
+        while how is not None:
+            forward, previous, how = how
+            if forward:
+                right.append(c[1])
+            else:
+                left.append(c[0])
+            c = previous
+        middle = self.table(c[0], True, by_joint=True).track((c[2], c[1]))
+        return Track((*left, *middle.states, *reversed(right)))
+
 
 def witnessed_elements(
     structure: KripkeStructure, anchor: int, forward: bool = True
@@ -426,173 +534,28 @@ def realize_element(
     return _Table(structure, anchor, forward).realize(triple)
 
 
-_EXISTS_MODALITIES = (
-    fm.Modality.A,
-    fm.Modality.ABAR,
-    fm.Modality.B,
-    fm.Modality.E,
-)
-# the modalities whose witnesses _Search assembles piece by piece
-_SPLIT_MODALITIES = frozenset({fm.Modality.B, fm.Modality.E})
-
-
-class _Search:
-    """Memoized existential search: for (subformula, packed element)
-    produce a track realizing the element on which the subformula holds, or
-    None."""
-
-    def __init__(self, structure: KripkeStructure):
-        self.k = structure
-        self.elements = Elements(structure)
-        self.kernels = self.elements.kernels
-        self.memo: dict[tuple[fm.Formula, Element], Track | None] = {}
-        self.sat_memo: dict[tuple[fm.Formula, int, bool], list[tuple[Element, Track]]] = {}
-
-    def search(self, f: fm.Formula, d: Element) -> Track | None:
-        key = (f, d)
-        if key in self.memo:
-            return self.memo[key]
-        result = self._search(f, d)
-        self.memo[key] = result
-        return result
-
-    def _realize(self, d: Element) -> Track:
-        return self.elements.table(d[0], True).realize(d)
-
-    def _search(self, f: fm.Formula, d: Element) -> Track | None:
-        if fm.is_propositional(f):
-            return self._realize(d) if self.kernels.on_joint(f, d[3]) else None
-        if not fm.modalities(f) & _SPLIT_MODALITIES:
-            # every track of d's class agrees on f: any of them is a witness
-            found = self.elements.check(f, (d[0], d[2], d[3]))
-            return self._realize(d) if found else None
-        if isinstance(f, fm.Or):
-            return self.search(f.left, d) or self.search(f.right, d)
-        if isinstance(f, fm.Diamond) and f.mod in _EXISTS_MODALITIES:
-            M = fm.Modality
-            if f.mod in (M.A, M.ABAR):
-                forward = f.mod is M.A
-                table = self.elements.table(d[2] if forward else d[0], forward)
-                found = any(
-                    self.search(f.child, d2) is not None for d2 in table.elements()
-                )
-                return self._realize(d) if found else None
-            if f.mod is M.B:
-                return self._split_search(f.child, d, prefix=True)
-            return self._split_search(f.child, d, prefix=False)
-        raise FragmentError(
-            "the counterexample engine handles the existential "
-            "meets/met-by/starts/finishes fragment only"
-        )
-
-    def _satisfying(
-        self, child: fm.Formula, anchor: int, forward: bool
-    ) -> list[tuple[Element, Track]]:
-        """Witnessed elements at an anchor on which the subformula can be
-        realized, with one realizing track each."""
-        key = (child, anchor, forward)
-        if key not in self.sat_memo:
-            out = []
-            for d in self.elements.table(anchor, forward).elements():
-                witness = self.search(child, d)
-                if witness is not None:
-                    out.append((d, witness))
-            self.sat_memo[key] = out
-        return self.sat_memo[key]
-
-    def _split_search(self, child: fm.Formula, d: Element, prefix: bool) -> Track | None:
-        """Realize a started-by (prefix=True) or finishes witness inside d:
-        either the witness misses a single boundary state of d, or d splits
-        into the witness's element joined to a second witnessed element."""
-        v_in, internal, v_fin, _ = d
-        table = self.elements.table(v_in if prefix else v_fin, prefix)
-        # drop-one-state case: the removed boundary state must come from d's
-        # internal set, and the witness's internal set covers the rest
-        rest = internal
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            boundary = low.bit_length() - 1
-            if prefix and not self.k.has_edge(boundary, v_fin):
-                continue
-            if not prefix and not self.k.has_edge(v_in, boundary):
-                continue
-            for mask in sorted({internal & ~low, internal}):
-                d2 = (
-                    table.find(v_in, mask, boundary)
-                    if prefix
-                    else table.find(boundary, mask, v_fin)
-                )
-                if d2 is not None:
-                    witness = self.search(child, d2)
-                    if witness is not None:
-                        if prefix:
-                            return Track(witness.states + (v_fin,))
-                        return Track((v_in,) + witness.states)
-        # split case: a witness piece joined to a second witnessed element
-        anchor = v_in if prefix else v_fin
-        for d2, witness in self._satisfying(child, anchor, prefix):
-            fixed_d2 = d2[1] | (1 << (d2[2] if prefix else d2[0]))
-            if fixed_d2 & ~internal:
-                continue  # the piece would stick out of d
-            links = self.k.successors(d2[2]) if prefix else self.k.predecessors(d2[0])
-            for link in links:
-                if not internal >> link & 1:
-                    continue
-                fixed = fixed_d2 | (1 << link)
-                missing = internal & ~fixed
-                other_table = self.elements.table(link, prefix)
-                boundary = v_fin if prefix else v_in
-                for mask in other_table.masks_by_boundary.get(boundary, ()):
-                    if mask & ~internal or missing & ~mask:
-                        continue
-                    d3 = (link, mask, v_fin) if prefix else (v_in, mask, link)
-                    other = other_table.realize(d3)
-                    if prefix:
-                        return Track(witness.states + other.states)
-                    return Track(other.states + witness.states)
-        return None
-
-
-def check_exists(
-    structure: KripkeStructure, f: fm.Formula, element: DescriptorElement
-) -> bool:
-    """Whether some track realizing the element satisfies the existential-
-    fragment formula."""
-    return exists_witness(structure, f, element) is not None
-
-
-def exists_witness(
-    structure: KripkeStructure, f: fm.Formula, element: DescriptorElement
-) -> Track | None:
-    """A track realizing the element on which the existential-fragment
-    formula holds, or None."""
-    g = fm.normalize(f)
-    if not fm.matches_exists_grammar(g):
-        raise FragmentError(
-            f"expected an existential-fragment formula, got {fm.classify(g).value}"
-        )
-    return _Search(structure).search(g, pack(structure, element))
-
-
 def provide_counterex(
     structure: KripkeStructure, f: fm.Formula
 ) -> tuple[DescriptorElement, Track] | None:
     """Search for an initial track violating a universal-fragment formula.
 
-    Returns the descriptor element of the violating class together with a
-    concrete initial track on which the dual existential formula holds, or
-    None when the property is satisfied.
+    Returns the descriptor element and a shortest initial track on which
+    the dual existential formula holds, the first such class in the
+    breadth-first order of the initial state's classes, or None when the
+    property is satisfied.
     """
     g = fm.normalize(f)
     if not fm.matches_forall_grammar(g):
         raise FragmentError(
             f"provide_counterex expects a universal-fragment formula, got {fm.classify(g).value}"
         )
-    dual = fm.to_exists_dual(g)
-    search = _Search(structure)
-    for d in search.elements.table(structure.initial, True).elements():
-        witness = search.search(dual, d)
-        if witness is not None:
-            return unpack(d), witness
-    return None
+    session = Elements(structure)
+    a = structure.initial
+    found = session.satisfying(fm.to_exists_dual(g), a)
+    order = session.table(a, True, by_joint=True).parent
+    rank = {(a, b, j): i for i, (j, b) in enumerate(order)}
+    c = min(found, key=lambda c: (found[c][0], rank[c]), default=None)
+    if c is None:
+        return None
+    track = session.replay(c, found[c][1])
+    return descriptor_element(track), track

@@ -7,20 +7,20 @@ from hsmc import (
     DescriptorElement,
     automaton,
     FragmentError,
+    KripkeStructure,
     OracleConfig,
     Track,
     build_bk_descriptor,
-    check_exists,
     clusters,
     concat_descr,
     descriptor_element,
     descriptor_sequence,
-    exists_witness,
     mod_check,
     normalize,
     oracle_eval,
     oracle_mod_check,
     parse_formula,
+    parse_kripke,
     provide_counterex,
     realize_element,
     to_exists_dual,
@@ -28,7 +28,7 @@ from hsmc import (
     track_label,
     witnessed_elements,
 )
-from hsmc.oracle import all_tracks
+from hsmc.oracle import _Oracle, all_tracks
 
 from corpus import (
     pair_free_stats,
@@ -37,7 +37,7 @@ from corpus import (
     random_structure,
     random_walk,
 )
-from hsmc.conp import Elements, Kernels, _letters, _Search, _Table, pack, unpack, val
+from hsmc.conp import Elements, Kernels, _letters, _Table, pack, unpack, val
 
 
 def _element(k, vin, inner, vfin):
@@ -67,8 +67,6 @@ def test_witnessed_elements_complete_graph(k2):
 
 
 def test_witnessed_elements_chain():
-    from hsmc import parse_kripke
-
     chain = parse_kripke("states: a b\ninit: a\nedges: a->b b->b\n")
     got = witnessed_elements(chain, 0, forward=True)
     assert got == {
@@ -96,24 +94,6 @@ def test_witnessed_elements_match_bounded_enumeration():
                 if t.lst == anchor
             }
             assert bwd == brute_b
-
-
-def test_masks_by_boundary_index_the_elements():
-    # the split search reads masks_by_boundary; it must list, per boundary
-    # state (final going forward, first going backward), the internal masks
-    # of exactly the witnessed elements with that boundary
-    rng = random.Random(63)
-    for _ in range(15):
-        k = random_structure(rng, max_states=3)
-        for anchor in range(k.n_states):
-            for forward in (True, False):
-                table = _Table(k, anchor, forward)
-                want: dict[int, list[int]] = {}
-                for v_in, internal, v_fin, _ in table.elements():
-                    boundary = v_fin if forward else v_in
-                    want.setdefault(boundary, []).append(internal)
-                got = {b: sorted(masks) for b, masks in table.masks_by_boundary.items()}
-                assert got == {b: sorted(masks) for b, masks in want.items()}
 
 
 def test_witnessed_elements_mutex_membership(mutex):
@@ -161,13 +141,29 @@ def test_concat_descr_matches_track_concatenation():
         checked += 1
 
 
+def _element_class(k, d):
+    e = pack(k, d)
+    return (e[0], e[2], e[3])
+
+
+def _class(k, track):
+    return _element_class(k, descriptor_element(track))
+
+
+def _satisfied(k, text, d):
+    # whether some track of the descriptor element's class from its first
+    # state satisfies the existential formula, by the session's class search
+    f = normalize(parse_formula(text))
+    return _element_class(k, d) in Elements(k).satisfying(f, d.v_in)
+
+
 def test_check_exists_basics(k2, mutex):
-    assert not check_exists(k2, parse_formula("F"), _element(k2, "v0", (), "v1"))
-    assert check_exists(k2, parse_formula("<A>q"), _element(k2, "v0", (), "v1"))
+    assert not _satisfied(k2, "F", _element(k2, "v0", (), "v1"))
+    assert _satisfied(k2, "<A>q", _element(k2, "v0", (), "v1"))
     # some initial track reaches the joint-grant pair of states
     d = _element(mutex, "w0", ("w1", "w3", "w8"), "w9")
     assert d in witnessed_elements(mutex, mutex.state_index("w0"), True)
-    assert check_exists(mutex, parse_formula("<E>(e0 & e1)"), d)
+    assert _satisfied(mutex, "<E>(e0 & e1)", d)
 
 
 def test_check_exists_agrees_with_oracle(k2):
@@ -176,21 +172,54 @@ def test_check_exists_agrees_with_oracle(k2):
     for text in texts:
         f = normalize(parse_formula(text))
         for element in witnessed_elements(k2, 0, True):
+            c = _element_class(k2, element)
             want = any(
                 oracle_eval(k2, t, f, config)
                 for t in all_tracks(k2, 0, 8)
-                if descriptor_element(t) == element
+                if _class(k2, t) == c
             )
-            assert check_exists(k2, f, element) == want, (text, element)
+            assert _satisfied(k2, text, element) == want, (text, element)
 
 
 def test_exists_witness_properties(mutex):
     f = normalize(parse_formula("<E>(e0 & e1)"))
     d = _element(mutex, "w0", ("w1", "w3", "w8"), "w9")
-    witness = exists_witness(mutex, f, d)
-    assert witness is not None
-    assert descriptor_element(witness) == d
+    session = Elements(mutex)
+    c = _element_class(mutex, d)
+    length, how = session.satisfying(f, c[0])[c]
+    witness = mutex.track(session.replay(c, how).states)  # edges checked
+    assert _class(mutex, witness) == c and len(witness) == length
     assert oracle_eval(mutex, witness, f, OracleConfig(6))
+
+
+def test_satisfying_classes_are_exact_and_shortest():
+    # Elements.satisfying maps each class with a track from the anchor that
+    # satisfies the existential formula to its shortest such length: each
+    # entry replays to such a track, and every such track of up to 8 states
+    # has its class there at no greater length.  On the existential
+    # formula an oracle True is definitive at any depth
+    rng = random.Random(69)
+    checked = modal = 0
+    while checked < 60:
+        k = random_structure(rng, max_states=3)
+        g = to_exists_dual(normalize(random_forall_formula(rng, [*k.propositions, "zz"])))
+        session = Elements(k)
+        oracle = _Oracle(k, OracleConfig(8))
+        for anchor in range(k.n_states):
+            found = session.satisfying(g, anchor)
+            for c, (length, how) in found.items():
+                track = k.track(session.replay(c, how).states)  # edges checked
+                assert track.fst == anchor and _class(k, track) == c
+                assert len(track) == length, (to_text(g), c, track)
+                assert oracle.eval(track.states, g), (to_text(g), track)
+            for track in all_tracks(k, anchor, 8):
+                if oracle.eval(track.states, g):
+                    c = _class(k, track)
+                    assert c in found, (to_text(g), track)
+                    assert found[c][0] <= len(track), (to_text(g), track)
+        checked += 1
+        modal += not fm.is_propositional(g)
+    assert modal >= 30
 
 
 def test_provide_counterex_mutex(mutex):
@@ -219,10 +248,12 @@ def test_provide_counterex_agrees_with_oracle():
     # False is definitive, so a None verdict paired with an oracle False
     # would prove the engine incomplete.  only an oracle True on a None
     # verdict is inconclusive, and there deeper witnesses cannot hide from
-    # the engine itself, whose element search is exhaustive.
+    # the engine itself, whose class search is exhaustive.
+    # A counterexample must also be a shortest one: the oracle finds the
+    # dual on no shorter initial track
     rng = random.Random(64)
-    tested = 0
-    while tested < 40:
+    tested = with_e = 0
+    while tested < 100:
         structure = random_structure(rng, max_states=3)
         formula = random_forall_formula(rng, list(structure.propositions))
         g = normalize(formula)
@@ -239,7 +270,50 @@ def test_provide_counterex_agrees_with_oracle():
                 oracle_eval(structure, track, dual, OracleConfig(depth))
                 for depth in (4, 8, 16, 32)
             )
+            oracle = _Oracle(structure, OracleConfig(8))
+            shorter = all_tracks(structure, structure.initial, len(track) - 1)
+            assert not any(oracle.eval(t.states, dual) for t in shorter), (
+                to_text(g),
+                track,
+            )
         tested += 1
+        with_e += fm.Modality.E in fm.modalities(g)
+    assert with_e >= 15
+
+
+def test_provide_counterex_reports_a_shortest_track():
+    # the dual needs a proper prefix that has a proper prefix: four states
+    cycle = parse_kripke("states: s0 s1\ninit: s0\nedges: s0->s1 s1->s0\n")
+    f = parse_formula("[B](T & [B](zz & zz))")
+    _, track = provide_counterex(cycle, f)
+    assert cycle.track_str(track) == "s0 s1 s0 s1"
+    assert automaton.mod_check(cycle, f).counterexample == track
+
+
+def _twenty_states() -> KripkeStructure:
+    # out-degree 3, each letter set with probability 0.6
+    rng = random.Random(20)
+    names = [f"s{i}" for i in range(20)]
+    props = ["p0", "p1", "p2"]
+    edges = [(u, v) for u in names for v in rng.sample(names, 3)]
+    labels = {u: [p for p in props if rng.random() < 0.6] for u in names}
+    return KripkeStructure(names, edges, names[0], labels, props)
+
+
+@pytest.mark.parametrize(
+    "text", ["[A][B][E](p1 | !p2)", "[B][E](p0 | p1 | p2)", "[E][B](p0 | p1)"]
+)
+def test_provide_counterex_scales_to_twenty_states(text):
+    # nested started-by/finishes over 20 states: decided on classes in
+    # milliseconds, and each counterexample is refuted by the oracle
+    structure = _twenty_states()
+    g = normalize(parse_formula(text))
+    found = provide_counterex(structure, g)
+    assert found is not None
+    _, track = found
+    assert track.fst == structure.initial
+    dual = to_exists_dual(g)
+    assert any(oracle_eval(structure, track, dual, OracleConfig(d)) for d in (4, 8))
 
 
 def test_propositional_counterexample_reads_back(k2):
@@ -435,7 +509,7 @@ def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
     for _ in range(30):
         k = random_structure(rng, max_states=4, max_props=3)
         props = [*k.propositions, "zz"]
-        elements, search = Elements(k), _Search(k)
+        elements = Elements(k)
         starts = [e for a in range(k.n_states) for e in elements.table(a, True).elements()]
         for _ in range(4):
             f = normalize(random_checker_formula(rng, props, max_modalities=0))
@@ -453,7 +527,8 @@ def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
                         assert got == per_element, (to_text(f), anchor, forward, want)
                     for d in starts:
                         if d[2 if forward else 0] == anchor:
-                            found = search.search(fm.Diamond(mod, f), d) is not None
+                            witnessed = elements.satisfying(fm.Diamond(mod, f), d[0])
+                            found = (d[0], d[2], d[3]) in witnessed
                             assert found == (True in truths), (to_text(f), d)
 
 
@@ -486,8 +561,6 @@ def test_public_api_speaks_descriptor_elements(k2):
     element, track = provide_counterex(k2, parse_formula("[A]q"))
     assert type(element) is DescriptorElement
     assert descriptor_element(track) == element
-    assert check_exists(k2, parse_formula("<A>q"), d)
-    assert descriptor_element(exists_witness(k2, parse_formula("<A>q"), d)) == d
     assert realize_element(k2, 0, d) == Track((0, 1))
     assert not val(parse_formula("p"), d, k2)
     assert type(concat_descr(d, d)) is DescriptorElement
