@@ -62,7 +62,7 @@ class _Checker:
         if fm.Modality.B not in fm.modalities(f):
             # truth only depends on the track's class
             e = pack(self.k, descriptor_element(track))
-            return self.elements.check(f, (e[0], e[2], e[3]))
+            return self.elements.check(f, (e[0], e[2], e[3], 0))
         key = (track.states, f, budget)
         cached = self.track_memo.get(key)
         if cached is not None:

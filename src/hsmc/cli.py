@@ -62,6 +62,8 @@ def _pick_engine(f: fm.Formula, requested: str) -> str:
 
 
 def _cmd_check(args: argparse.Namespace, out) -> int:
+    if args.max_tau < 0:
+        raise ValueError("--max-tau must be nonnegative")
     structure = _load_model(args.model)
     raw = _load_formula(args.formula)
     normalized = fm.normalize(raw)

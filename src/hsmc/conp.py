@@ -22,20 +22,24 @@ a class ``(v_in, v_fin, J)``: under homogeneity a letter reads only J,
 meets/met-by read only an endpoint, and extending a track to the right by
 one state b gives the class ``(v_in, b, J & label(b))``, by a track of
 class ``(w, b, j)`` the class ``(v_in, b, J & j)``, and to the left the
-mirror.  ``Elements`` decides such formulas on classes, one session per
-request, for the search here, the automaton and the representative walk.
-It walks classes, not elements: its witness tables are keyed by
-``(joint, boundary)``, and its memo by the class with the joint masked to
-the letters the subformula reads.
+mirror.  A formula with started-by also reads, per ``<B>child``/
+``[B]child``, whether some proper prefix has ``child`` true/false: one bit
+each, and a class with these bits is a state ``(v_in, v_fin, J, bits)``.
+``Elements`` is the one evaluator on states, one session per request, for
+the search here, the automaton and the representative walk (which sends it
+started-by-free formulas only).  It walks classes, not elements: its
+witness tables are keyed by ``(joint, boundary)``, and its memo by the
+state with the joint masked to the letters the subformula reads and the
+bits to the pairs it reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import formula as fm
-from .errors import FragmentError
+from .errors import FormulaError, FragmentError
 from .kripke import KripkeStructure, Track
 from .descriptor import DescriptorElement, descriptor_element
 
@@ -102,6 +106,9 @@ Element = tuple[int, int, int, int]
 # The class (v_in, v_fin, joint) of an element: all that a started-by-free
 # formula reads.
 Class = tuple[int, int, int]
+# A class and the bits of the started-by pairs its track's proper prefixes
+# satisfy: all that Elements.check reads.
+State = tuple[int, int, int, int]
 # How Elements.replay rebuilds a track of some class: None for the shortest
 # track of the class in its first state's joint-keyed table, or (forward,
 # previous class, its derivation) for a track of the previous class extended
@@ -136,11 +143,15 @@ class Kernels:
         self.k = structure
         self._kernels: dict[fm.Formula, tuple] = {}
 
-    def on_joint(self, f: fm.Formula, joint: int) -> bool:
+    def compile(self, f: fm.Formula) -> tuple:
+        """The kernel's test and verdict cache, compiled on first sight."""
         kernel = self._kernels.get(f)
         if kernel is None:
             kernel = self._kernels[f] = (_compile(f, self.k), {})
-        test, verdicts = kernel
+        return kernel
+
+    def on_joint(self, f: fm.Formula, joint: int) -> bool:
+        test, verdicts = self._kernels.get(f) or self.compile(f)
         verdict = verdicts.get(joint)
         if verdict is None:
             verdict = verdicts[joint] = test(joint)
@@ -268,9 +279,11 @@ _ENDPOINT_MODALITIES = frozenset({fm.Modality.A, fm.Modality.ABAR})
 
 
 def _letters(f: fm.Formula, structure: KripkeStructure) -> int:
-    """The letters of the structure that a started-by-free formula reads on
-    its own track: those of its kernels, not counting the ones below
-    ``<A>``/``<Ai>``, whose children are read on other tracks."""
+    """The letters of the structure that a formula reads on its own track
+    and its extensions: those of its kernels, not counting the ones below
+    ``<A>``/``<Ai>``, whose children are read on other tracks.  A
+    ``<B>``/``[B]`` child's letters count: the step that sets its bit reads
+    it on the track itself."""
     letters = 0
     todo = [f]
     while todo:
@@ -288,21 +301,48 @@ def _letters(f: fm.Formula, structure: KripkeStructure) -> int:
 
 
 class Elements:
-    """One checking session's decisions of started-by-free formulas on
-    classes ``(v_in, v_fin, joint)``.
+    """One checking session's evaluator: decides formulas over ``A Ai B Bi
+    Ei`` on states ``(v_in, v_fin, joint, bits)``.
 
-    A propositional kernel goes whole to the session's ``Kernels``,
-    meets/met-by read the witnessed classes anchored at an endpoint, and
-    the inverse started-by/finishes read the classes of the one-state
-    extensions and of the concatenations with witnessed tracks; all of
-    these classes come from the joint-keyed walks of ``_Table``.  A
-    subformula's class is first masked to the letters the subformula reads
-    (``_letters``): a kernel reads only its own letters, and ``<Bi>``/
-    ``<Ei>`` pass on ``joint & j`` to a child that reads a subset of them,
-    so classes that differ only in other letters share one result.
-    Results are cached per (subformula, masked class), the meets/met-by
-    ones per (subformula, endpoint), and the witness tables per (anchor,
-    direction, keying).
+    A state is a class plus one bit per ``(child, want)`` pair of the
+    formulas checked so far -- one pair per ``<B>child`` (want true) and
+    per ``[B]child`` (want false), numbered on first sight (``scope``).  A
+    pair's bit is set when some proper prefix p of the track has
+    ``child(p) == want``.  The proper prefixes of ``t·v`` are those of t and
+    t itself, so the state of ``t·v`` is ``(v_in, v, joint & label(v),
+    bits')``, where ``bits'`` adds every pair that holds on t itself
+    (``advance``); a two-state track ``u·w`` has the state ``(u, w,
+    label(u) & label(w), 0)``.  A class is a state whose bits are 0, and a
+    subformula without started-by has no pairs.  By induction on the
+    formula, a subformula has one truth value on all tracks that share a
+    state:
+
+    - a propositional kernel reads the joint, and goes whole to the
+      session's ``Kernels``;
+    - ``<B>``/``[B]`` read one bit;
+    - ``<A>``/``<Ai>`` read the states of the tracks from/into an endpoint;
+    - ``<Bi>``/``<Ei>`` read the states of the one-state extensions and of
+      the concatenations with other tracks (``related``).
+
+    ``<Ei>``/``[Ei]`` over a child with pairs is outside the evaluator:
+    prepending a state changes every prefix, and the bits do not say how.
+
+    **Scopes and masks.**  A subformula's scope is the set of pairs that
+    occur in it, and its letters are those it reads (``_letters``), both
+    not counting what is below an ``<A>``/``<Ai>``, whose children are read
+    on other tracks.  A subformula is evaluated on its state with the joint
+    masked to its letters and the bits to its scope, so states that differ
+    only in what it does not read share one memo entry, and its searches
+    walk the smaller masked product.  A step in a scope evaluates the child
+    of each pair of that scope; a pair's child does not contain the pair,
+    so its scope is strictly smaller, and the recursion is well-founded.
+
+    At scope 0 the states are the witnessed classes, and every walk reads
+    the joint-keyed witness tables of ``_Table``; above it the session walks
+    the product of the structure and the scope's bits breadth-first
+    (``walk``).  Results are cached per (subformula, masked state), the
+    meets/met-by ones per (subformula, endpoint), and the witness tables
+    per (anchor, direction).
 
     For the counterexample search the session also maps an existential-
     fragment formula to the classes of its satisfying tracks from an
@@ -312,46 +352,96 @@ class Elements:
     def __init__(self, structure: KripkeStructure):
         self.k = structure
         self.kernels = Kernels(structure)
-        self._tables: dict[tuple[int, bool, bool], _Table] = {}
-        self.letters: dict[fm.Formula, int] = {}
+        self._tables: dict[tuple[int, bool], _Table] = {}
+        # formula -> (letters, scope); a kernel's letters are None
+        self.masks: dict[fm.Formula, tuple[int | None, int]] = {}
+        self.pairs: list[tuple[fm.Formula, bool]] = []
+        self.pair_bit: dict[tuple[fm.Formula, bool], int] = {}
         self.memo: dict[tuple, bool] = {}
         self.anchored_memo: dict[tuple, bool] = {}
+        self.reach_memo: dict[int, tuple[State, ...]] = {}
         self.witnesses: dict[tuple[fm.Formula, int], dict[Class, Witness]] = {}
 
-    def table(self, anchor: int, forward: bool, by_joint: bool = False) -> _Table:
-        key = (anchor, forward, by_joint)
+    def table(self, anchor: int, forward: bool) -> _Table:
+        """The joint-keyed witness table anchored at ``anchor``."""
+        key = (anchor, forward)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = _Table(self.k, anchor, forward, by_joint)
+            table = self._tables[key] = _Table(self.k, anchor, forward, True)
         return table
 
-    def check(self, f: fm.Formula, c: Class) -> bool:
-        """Evaluate a started-by-free formula on a class."""
-        if fm.is_propositional(f):
-            return self.kernels.on_joint(f, c[2])
-        letters = self.letters.get(f)
+    def scope(self, f: fm.Formula) -> int:
+        """The pairs of ``f`` as a bit mask, numbering the new ones."""
+        return (self.masks.get(f) or self._masks(f))[1]
+
+    def _masks(self, f: fm.Formula) -> tuple[int | None, int]:
+        """Cache ``f``'s (letters, scope), numbering its new pairs; a
+        kernel's letters are None.  Every subformula is checked on first
+        sight, so a formula outside the evaluator raises ``FragmentError``
+        however much of it an evaluation reads."""
+        M = fm.Modality
+        try:
+            mods = fm.modalities(f)
+        except FormulaError:
+            raise FragmentError("the checker needs a normalized formula") from None
+        if not mods:
+            self.kernels.compile(f)
+            masks: tuple[int | None, int] = (None, 0)
+        else:
+            if isinstance(f, fm.Not):
+                scope = self.scope(f.child)
+            elif isinstance(f, (fm.And, fm.Or)):
+                scope = self.scope(f.left) | self.scope(f.right)
+            elif not isinstance(f, (fm.Diamond, fm.Box)):
+                raise FragmentError("the checker needs a normalized formula")
+            elif f.mod not in fm.REPRESENTATIVE_MODALITIES:
+                raise FragmentError(f"the evaluator cannot handle <{f.mod.value}> formulas")
+            else:
+                scope = self.scope(f.child)
+                if f.mod is M.B:
+                    pair = (f.child, isinstance(f, fm.Diamond))
+                    if pair not in self.pair_bit:
+                        self.pair_bit[pair] = len(self.pairs)
+                        self.pairs.append(pair)
+                    scope |= 1 << self.pair_bit[pair]
+                elif f.mod in _ENDPOINT_MODALITIES:
+                    scope = 0
+                elif f.mod is M.EBAR and scope:
+                    raise FragmentError("<Ei>/[Ei] over <B>/[B] is outside the evaluator")
+            masks = (_letters(f, self.k), scope)
+        self.masks[f] = masks
+        return masks
+
+    def check(self, f: fm.Formula, s: State) -> bool:
+        """Evaluate a formula on a state whose bits follow the session's
+        pair numbering (``scope``)."""
+        letters, scope = self.masks.get(f) or self._masks(f)
         if letters is None:
-            letters = self.letters[f] = _letters(f, self.k)
-        c = (c[0], c[1], c[2] & letters)
-        key = (f, c)
+            return self.kernels.on_joint(f, s[2])
+        s = (s[0], s[1], s[2] & letters, s[3] & scope)
+        key = (f, s)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
         if isinstance(f, fm.Not):
-            result = not self.check(f.child, c)
+            result = not self.check(f.child, s)
         elif isinstance(f, fm.And):
-            result = self.check(f.left, c) and self.check(f.right, c)
+            result = self.check(f.left, s) and self.check(f.right, s)
         elif isinstance(f, fm.Or):
-            result = self.check(f.left, c) or self.check(f.right, c)
+            result = self.check(f.left, s) or self.check(f.right, s)
         elif isinstance(f, (fm.Diamond, fm.Box)):
             want = isinstance(f, fm.Diamond)
-            if f.mod is fm.Modality.A:
-                found = self.anchored(f.child, want, c[1], True)
+            child = f.child
+            if f.mod is fm.Modality.B:
+                found = bool(s[3] >> self.pair_bit[(child, want)] & 1)
+            elif f.mod is fm.Modality.A:
+                found = self.anchored(child, want, s[1], True)
             elif f.mod is fm.Modality.ABAR:
-                found = self.anchored(f.child, want, c[0], False)
+                found = self.anchored(child, want, s[0], False)
             else:
                 found = any(
-                    self.check(f.child, r) == want for r in self.related(f.mod, c)
+                    self.check(child, r) == want
+                    for r in self.related(f.mod, s, self.scope(child))
                 )
             result = want == found
         else:
@@ -362,51 +452,109 @@ class Elements:
     def initial_violation(self, f: fm.Formula) -> Track | None:
         """The shortest track realizing the first of the initial state's
         witnessed classes, in breadth-first order, that violates the
-        started-by-free formula: a shortest violating initial track, or
-        None."""
+        formula: a shortest violating initial track, or None.  Exact for
+        a formula of scope 0."""
         a = self.k.initial
-        table = self.table(a, True, by_joint=True)
+        table = self.table(a, True)
         for key in table.parent:
             joint, b = key
-            if not self.check(f, (a, b, joint)):
+            if not self.check(f, (a, b, joint, 0)):
                 return table.track(key)
         return None
 
     def anchored(self, child: fm.Formula, want: bool, anchor: int, forward: bool) -> bool:
-        """Whether some class witnessed from (forward) or into ``anchor``
-        has ``child == want``: the meets/met-by answer, shared by every
-        class with that endpoint."""
+        """Whether some track from (forward) or into ``anchor`` has ``child
+        == want``: the meets/met-by answer, shared by every state with that
+        endpoint."""
         key = (child, want, anchor, forward)
         cached = self.anchored_memo.get(key)
         if cached is None:
-            cached = any(
-                self.check(child, (anchor, b, j) if forward else (b, anchor, j)) == want
-                for j, b in self.table(anchor, forward, by_joint=True).parent
-            )
+            scope = self.scope(child)
+            if not scope:
+                states = (
+                    (anchor, b, j, 0) if forward else (b, anchor, j, 0)
+                    for j, b in self.table(anchor, forward).parent
+                )
+            elif forward:
+                states = self.walk(self.starts(anchor), scope, {})
+            else:
+                states = (s for s in self.reachable(scope) if s[1] == anchor)
+            cached = any(self.check(child, s) == want for s in states)
             self.anchored_memo[key] = cached
         return cached
 
-    def related(self, mod: fm.Modality, c: Class) -> Iterator[Class]:
-        """The classes of the tracks an inverse started-by/finishes relates
-        to a track of class ``c``, possibly repeated."""
+    def related(self, mod: fm.Modality, s: State, scope: int = 0) -> Iterator[State]:
+        """The states, masked to ``scope``, of the tracks an inverse
+        started-by/finishes relates to a track of state ``s``, possibly
+        repeated.  ``s``'s bits lie within ``scope``."""
         M = fm.Modality
-        v_in, v_fin, joint = c
+        if mod is M.BBAR and scope:
+            yield from self.walk(self.successors(s, scope), scope, {})
+            return
+        v_in, v_fin, joint, _ = s
         label = self.k.label_mask
         if mod is M.BBAR:
             # t.v, then t followed by a track from v
             for v in self.k.successors(v_fin):
-                yield (v_in, v, joint & label(v))
-                for j, b in self.table(v, True, by_joint=True).parent:
-                    yield (v_in, b, joint & j)
-        elif mod is M.EBAR:
+                yield (v_in, v, joint & label(v), 0)
+                for j, b in self.table(v, True).parent:
+                    yield (v_in, b, joint & j, 0)
+        elif mod is M.EBAR and not scope:
             for u in self.k.predecessors(v_in):
-                yield (u, v_fin, joint & label(u))
-                for j, b in self.table(u, False, by_joint=True).parent:
-                    yield (b, v_fin, joint & j)
+                yield (u, v_fin, joint & label(u), 0)
+                for j, b in self.table(u, False).parent:
+                    yield (b, v_fin, joint & j, 0)
         else:
-            raise FragmentError(
-                f"the representative engine cannot handle <{mod.value}> formulas"
-            )
+            raise FragmentError(f"no <{mod.value}> step at scope {scope}")
+
+    def reachable(self, scope: int) -> tuple[State, ...]:
+        """The states of every track of the structure, masked to ``scope``."""
+        if scope not in self.reach_memo:
+            starts = [s for u in range(self.k.n_states) for s in self.starts(u)]
+            self.reach_memo[scope] = tuple(self.walk(starts, scope, {}))
+        return self.reach_memo[scope]
+
+    def walk(self, starts: Iterable[State], scope: int, parent: dict) -> Iterator[State]:
+        """Breadth-first walk of the product masked to ``scope``.  A state is
+        yielded before its successors are built, and ``parent`` maps it to
+        the state it was first reached from (None for a start)."""
+        queue: deque[State] = deque()
+        for s in starts:
+            if s not in parent:
+                parent[s] = None
+                queue.append(s)
+        while queue:
+            s = queue.popleft()
+            yield s
+            for nxt in self.successors(s, scope):
+                if nxt not in parent:
+                    parent[nxt] = s
+                    queue.append(nxt)
+
+    def starts(self, u: int) -> list[State]:
+        """The states of the two-state tracks from ``u``."""
+        label = self.k.label_mask
+        return [(u, w, label(u) & label(w), 0) for w in self.k.successors(u)]
+
+    def advance(self, s: State, scope: int) -> int:
+        """The bits of every one-state extension: every pair of ``scope``
+        that holds on the track itself is added.  The state's bits lie
+        within ``scope``."""
+        bits = s[3]
+        todo = scope & ~bits
+        while todo:
+            low = todo & -todo
+            child, want = self.pairs[low.bit_length() - 1]
+            if self.check(child, s) == want:
+                bits |= low
+            todo ^= low
+        return bits
+
+    def successors(self, s: State, scope: int) -> list[State]:
+        v_in, v_fin, joint, _ = s
+        bits = self.advance(s, scope)
+        label = self.k.label_mask
+        return [(v_in, v, joint & label(v), bits) for v in self.k.successors(v_fin)]
 
     def satisfying(self, f: fm.Formula, anchor: int) -> dict[Class, Witness]:
         """The classes of the tracks from ``anchor`` that satisfy the
@@ -424,7 +572,7 @@ class Elements:
             return found
         M = fm.Modality
         if fm.is_propositional(f):
-            table = self.table(anchor, True, by_joint=True)
+            table = self.table(anchor, True)
             lengths: dict[tuple[int, int], int] = {}
             found = {}
             for key, parent in table.parent.items():
@@ -512,7 +660,7 @@ class Elements:
             else:
                 left.append(c[0])
             c = previous
-        middle = self.table(c[0], True, by_joint=True).track((c[2], c[1]))
+        middle = self.table(c[0], True).track((c[2], c[1]))
         return Track((*left, *middle.states, *reversed(right)))
 
 
@@ -552,7 +700,7 @@ def provide_counterex(
     session = Elements(structure)
     a = structure.initial
     found = session.satisfying(fm.to_exists_dual(g), a)
-    order = session.table(a, True, by_joint=True).parent
+    order = session.table(a, True).parent
     rank = {(a, b, j): i for i, (j, b) in enumerate(order)}
     c = min(found, key=lambda c: (found[c][0], rank[c]), default=None)
     if c is None:

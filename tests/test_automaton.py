@@ -22,7 +22,7 @@ from hsmc import (
 )
 
 from hsmc import conp
-from hsmc.conp import _Table
+from hsmc.conp import Elements, _letters, _Table
 from hsmc.oracle import all_tracks
 
 from corpus import pair_free_stats, random_checker_formula, random_structure, random_walk
@@ -136,38 +136,43 @@ def test_meets_results_are_cached_per_diamond_and_box(k2, text):
 
 
 def test_memo_entries_are_masked_to_scope(fig4, k2):
-    # a subformula is read on its state masked to its own scope, so states
-    # that differ only in bits it does not read share one memo entry
+    # a subformula is read on its state masked to its own scope and letters,
+    # so states that differ only in bits or letters it does not read share
+    # one memo entry; started-by subformulas are masked on both
     for structure, text in (
         (fig4, "[B](<A>T -> [A]<B>T) | <Bi>[B]<B>T"),
         (k2, "[B]([B]p | <Ai>[B]q) & <Bi>(<B>q & [B][B]p)"),
     ):
         g = normalize(parse_formula(text))
-        auto = automaton._Automaton(structure, g)
-        for state in auto._reachable(auto.scopes[g]):
-            auto.holds(g, state)
-        assert auto.memo
-        for f, state in auto.memo:
-            assert state[3] & ~auto.scopes[f] == 0, (f, state)
+        session = Elements(structure)
+        for state in session.reachable(session.scope(g)):
+            session.check(g, state)
+        assert session.memo
+        started_by = 0
+        for f, state in session.memo:
+            assert state[3] & ~session.scope(f) == 0, (f, state)
+            assert state[2] & ~_letters(f, structure) == 0, (f, state)
+            started_by += fm.Modality.B in fm.modalities(f)
+        assert started_by
 
 
 def test_states_without_bits_are_the_witnessed_classes(mutex):
     # with no pair in scope a product state is a class (v_in, v_fin,
-    # joint): the automaton's states are exactly the classes of the
+    # joint): the session's states are exactly the classes of the
     # witnessed elements over all anchors, with no internal mask to split
     # them
-    auto = automaton._Automaton(mutex, normalize(parse_formula("[B]e0")))
+    session = Elements(mutex)
     classes = {
         (e[0], e[2], e[3], 0)
         for anchor in range(mutex.n_states)
         for e in _Table(mutex, anchor, True).elements()
     }
-    assert set(auto._reachable(0)) == classes
+    assert set(session.reachable(0)) == classes
     # the joint-keyed walk reaches each of those classes exactly once
     walked = [
         (anchor, b, j, 0)
         for anchor in range(mutex.n_states)
-        for j, b in _Table(mutex, anchor, True, by_joint=True).parent
+        for j, b in session.table(anchor, True).parent
     ]
     assert len(walked) == len(set(walked))
     assert set(walked) == classes

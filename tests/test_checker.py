@@ -113,7 +113,7 @@ def test_inverse_clauses_relate_exactly_the_extension_elements():
     # carries the extension's own joint label mask
     def class_of(track):
         e = pack(structure, descriptor_element(track))
-        return (e[0], e[2], e[3])
+        return (e[0], e[2], e[3], 0)
 
     rng = random.Random(54)
     for _ in range(100):

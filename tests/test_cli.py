@@ -403,6 +403,16 @@ def test_bad_numeric_arguments_exit_code(files):
     assert not os.path.exists(prefix + ".model")
 
 
+@pytest.mark.parametrize("text", ["T", "<B>p"])
+def test_negative_max_tau_is_refused_up_front(files, capsys, text):
+    # refused as --limit is, before any engine runs, whatever the route
+    model = files("m.txt", K2_TEXT)
+    formula = files("f.txt", text + "\n")
+    code, out = _run(["check", "--model", model, "--formula", formula, "--max-tau", "-5"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --max-tau must be nonnegative\n"
+
+
 _USAGE = "usage: hsmc [-h] {check,counterexample,descriptors,unravel,oracle,gen} ...\n"
 
 _HELP = _USAGE + """

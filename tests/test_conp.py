@@ -363,7 +363,7 @@ def test_element_check_sends_a_propositional_and_to_the_kernel_whole(mutex):
     f = normalize(parse_formula("r0 & (r1 | !e0) & !(x0 & e1)"))
     d = pack(mutex, _element(mutex, "w1", ("w3",), "w4"))
     track = _Table(mutex, d[0], True).realize(d)
-    assert session.check(f, (d[0], d[2], d[3])) == oracle_eval(mutex, track, f)
+    assert session.check(f, (d[0], d[2], d[3], 0)) == oracle_eval(mutex, track, f)
     assert sent == [f]
 
 
@@ -393,8 +393,8 @@ def test_packed_elements_carry_their_joint_label_mask():
         sample = rng.sample(packed, min(8, len(packed)))
         for e in sample:
             for mod, forward in ((fm.Modality.BBAR, True), (fm.Modality.EBAR, False)):
-                for r in elements.related(mod, (e[0], e[2], e[3])):
-                    assert r in witnessed[forward], (mod, e, r)
+                for r in elements.related(mod, (e[0], e[2], e[3], 0)):
+                    assert r[:3] in witnessed[forward] and not r[3], (mod, e, r)
 
 
 def test_elements_of_one_class_agree_on_started_by_free_formulas():
@@ -413,9 +413,9 @@ def test_elements_of_one_class_agree_on_started_by_free_formulas():
         elements = Elements(k)
         by_class = {}
         for anchor in range(k.n_states):
-            table = elements.table(anchor, True)
+            table = _Table(k, anchor, True)
             for e in table.elements():
-                by_class.setdefault((e[0], e[2], e[3]), []).append(table.realize(e))
+                by_class.setdefault((e[0], e[2], e[3], 0), []).append(table.realize(e))
         groups = {c: tracks for c, tracks in by_class.items() if len(tracks) > 1}
         shared += len(groups)
         for _ in range(4):
@@ -424,6 +424,20 @@ def test_elements_of_one_class_agree_on_started_by_free_formulas():
                 truths = {oracle_eval(k, t, g, config) for t in tracks}
                 assert truths == {elements.check(g, c)}, (to_text(g), c, tracks)
     assert shared >= 80  # classes that merge several elements are exercised
+
+
+def test_element_check_raises_on_formulas_outside_the_evaluator(k2):
+    # a formula outside A Ai B Bi Ei, <Ei> over started-by or an unnormalized
+    # formula raises, even where the evaluation would read only a bit or
+    # one side of a connective
+    outside = ["<Ei><B>p", "<E>p", "<D>p", "<B><Ei>[B]q"]
+    unnormalized = ["<A>p -> q", "<A>p & (q -> p)", "<B>(p -> <A>q)", "<B>^2 p", "<L>p"]
+    formulas = [normalize(parse_formula(t)) for t in outside]
+    formulas += [parse_formula(t) for t in unnormalized]
+    for f in formulas:
+        for bits in (0, 1):
+            with pytest.raises(FragmentError):
+                Elements(k2).check(f, (0, 1, 0, bits))
 
 
 def test_element_memo_entries_are_masked_to_letters(mutex, sched):
@@ -437,9 +451,9 @@ def test_element_memo_entries_are_masked_to_letters(mutex, sched):
         g = normalize(parse_formula(text))
         session = Elements(structure)
         for anchor in range(structure.n_states):
-            for j, b in session.table(anchor, True, by_joint=True).parent:
-                session.check(g, (anchor, b, j))
-        assert session.letters[g] == sum(map(structure.prop_mask, read))
+            for j, b in session.table(anchor, True).parent:
+                session.check(g, (anchor, b, j, 0))
+        assert session.masks[g][0] == sum(map(structure.prop_mask, read))
         assert session.memo
         for f, c in session.memo:
             assert c[2] & ~_letters(f, structure) == 0, (to_text(f), c)
@@ -450,7 +464,7 @@ def test_element_check_agrees_with_oracle_on_every_witnessed_class():
     # that class, and Elements.check gives the oracle's verdict on it
     def class_of(track):
         e = pack(k, descriptor_element(track))
-        return (e[0], e[2], e[3])
+        return (e[0], e[2], e[3], 0)
 
     rng = random.Random(74)
     tested = 0
@@ -465,11 +479,12 @@ def test_element_check_agrees_with_oracle_on_every_witnessed_class():
         tracks = {}
         for anchor in range(k.n_states):
             for forward in (True, False):
-                table = elements.table(anchor, forward, by_joint=True)
+                table = elements.table(anchor, forward)
                 for key in table.parent:
                     track = table.track(key)
                     c = class_of(track)
-                    want = (anchor, key[1], key[0]) if forward else (key[1], anchor, key[0])
+                    j, b = key
+                    want = (anchor, b, j, 0) if forward else (b, anchor, j, 0)
                     assert c == want, (track, key)
                     tracks[c] = track
         for _ in range(6):
@@ -510,16 +525,16 @@ def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
         k = random_structure(rng, max_states=4, max_props=3)
         props = [*k.propositions, "zz"]
         elements = Elements(k)
-        starts = [e for a in range(k.n_states) for e in elements.table(a, True).elements()]
+        starts = [e for a in range(k.n_states) for e in _Table(k, a, True).elements()]
         for _ in range(4):
             f = normalize(random_checker_formula(rng, props, max_modalities=0))
             for anchor in range(k.n_states):
                 for forward, mod in ((True, fm.Modality.A), (False, fm.Modality.ABAR)):
-                    table = elements.table(anchor, forward)
+                    table = _Table(k, anchor, forward)
                     truths = {oracle_eval(k, table.realize(e), f) for e in table.elements()}
                     for want in (True, False):
                         per_element = any(
-                            elements.check(f, (e[0], e[2], e[3])) == want
+                            elements.check(f, (e[0], e[2], e[3], 0)) == want
                             for e in table.elements()
                         )
                         assert per_element == (want in truths)
