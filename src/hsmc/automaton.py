@@ -12,7 +12,9 @@ evaluates the formula on states and walks the product; this module holds
 the fragment test and the entry points.
 
 ``<Ei>``/``[Ei]`` over a child with started-by is outside the engine:
-prepending a state changes every prefix, and the bits do not say how.
+prepending a state changes every prefix, and the bits do not say how.  A
+started-by below an ``<A>``/``<Ai>`` of that child is not: it is read on
+the tracks from or into an endpoint, which prepending does not change.
 """
 
 from __future__ import annotations
@@ -25,21 +27,33 @@ from .errors import FragmentError
 from .kripke import KripkeStructure, Track
 
 
-def _ei_over_started_by(f: fm.Formula) -> bool:
-    if fm.Modality.B not in fm.modalities(f):
+def _ei_over_started_by(f: fm.Formula, below_ei: bool = False) -> bool:
+    """Whether some ``<Ei>``/``[Ei]`` of the formula has a ``<B>``/``[B]``
+    in its child's scope: below it and not below an ``<A>``/``<Ai>``,
+    whose children are read on other tracks (``below_ei`` says that ``f``
+    lies so below one)."""
+    M = fm.Modality
+    if M.B not in fm.modalities(f):
         return False
     if isinstance(f, fm.Not):
-        return _ei_over_started_by(f.child)
+        return _ei_over_started_by(f.child, below_ei)
     if isinstance(f, (fm.And, fm.Or)):
-        return _ei_over_started_by(f.left) or _ei_over_started_by(f.right)
+        return any(_ei_over_started_by(g, below_ei) for g in (f.left, f.right))
     if isinstance(f, (fm.Diamond, fm.Box)):
-        return f.mod is fm.Modality.EBAR or _ei_over_started_by(f.child)
+        if f.mod is M.B and below_ei:
+            return True
+        if f.mod in (M.A, M.ABAR):
+            below_ei = False
+        elif f.mod is M.EBAR:
+            below_ei = True
+        return _ei_over_started_by(f.child, below_ei)
     return False
 
 
 def in_fragment(f: fm.Formula) -> bool:
     """Whether the engine decides a normalized formula: its modalities are
-    among ``A Ai B Bi Ei`` and no ``<Ei>``/``[Ei]`` has a started-by child."""
+    among ``A Ai B Bi Ei`` and no ``<Ei>``/``[Ei]`` has a started-by child
+    outside ``<A>``/``<Ai>``."""
     return fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES and not (
         _ei_over_started_by(f)
     )

@@ -39,7 +39,8 @@ def _load_formula(path: str) -> fm.Formula:
 
 def _track_engine(f: fm.Formula) -> str | None:
     """The engine that decides the formula on tracks, if any: the automaton
-    unless some <Ei>/[Ei] has a started-by child, then the representatives."""
+    unless some <Ei>/[Ei] has a started-by child outside <A>/<Ai>, then the
+    representatives."""
     if automaton.in_fragment(f):
         return "automaton"
     if fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES:

@@ -28,9 +28,10 @@ each, and a class with these bits is a state ``(v_in, v_fin, J, bits)``.
 ``Elements`` is the one evaluator on states, one session per request, for
 the search here, the automaton and the representative walk (which sends it
 started-by-free formulas only).  It walks classes, not elements: its
-witness tables are keyed by ``(joint, boundary)``, and its memo by the
-state with the joint masked to the letters the subformula reads and the
-bits to the pairs it reads.
+witness tables are keyed by ``(joint, boundary)`` and projected onto the
+letters of the formula each consumer evaluates, and its memo is keyed by
+the state with the joint masked to the letters the subformula reads and
+the bits to the pairs it reads.
 """
 
 from __future__ import annotations
@@ -196,6 +197,12 @@ class _Table:
       extension depends only on the track's class, so the keys are the
       witnessed classes ``(joint, boundary)``, each reached once, in order
       of its shortest realization.
+
+    ``letters`` projects every label onto a letter mask before the walk, so
+    the joints are the projected ones.  Projection commutes with the step,
+    so the projected keys are the projections of the full keys, in the
+    order of the first full key that projects to each, and each is reached
+    through the projection of that key's parent: its track is that key's.
     """
 
     def __init__(
@@ -204,6 +211,7 @@ class _Table:
         anchor: int,
         forward: bool,
         by_joint: bool = False,
+        letters: int = -1,
     ):
         self.k = structure
         self.anchor = anchor
@@ -212,7 +220,7 @@ class _Table:
         self.joint: dict[tuple[int, int], int] = {}
         self._elements: tuple[Element, ...] | None = None
         neighbours = structure.successors if forward else structure.predecessors
-        labels = [structure.label_mask(v) for v in range(structure.n_states)]
+        labels = [structure.label_mask(v) & letters for v in range(structure.n_states)]
         parent, joints = self.parent, self.joint
         queue: deque[tuple[int, int]] = deque()
         for w in neighbours(anchor):
@@ -338,23 +346,28 @@ class Elements:
     so its scope is strictly smaller, and the recursion is well-founded.
 
     At scope 0 the states are the witnessed classes, and every walk reads
-    the joint-keyed witness tables of ``_Table``; above it the session walks
-    the product of the structure and the scope's bits breadth-first
-    (``walk``).  Results are cached per (subformula, masked state), the
-    meets/met-by ones per (subformula, endpoint), and the witness tables
-    per (anchor, direction).
+    the joint-keyed witness tables of ``_Table``, projected onto the
+    letters of the formula it serves: ``anchored`` and ``related`` onto
+    those of the formula they read on the table's classes,
+    ``initial_violation`` onto those of the formula it checks.  Above scope
+    0 the session walks the product of the structure and the scope's bits
+    breadth-first (``walk``).  Results are cached per (subformula, masked
+    state), the meets/met-by ones per (subformula, endpoint), and the
+    witness tables per (anchor, direction, letters).
 
     For the counterexample search the session also maps an existential-
     fragment formula to the classes of its satisfying tracks from an
-    anchor (``satisfying``), cached per (formula, anchor).
+    anchor (``satisfying``), cached per (formula, anchor).  It reads the
+    all-letter tables: it composes classes across kernels that read
+    different letters.
     """
 
     def __init__(self, structure: KripkeStructure):
         self.k = structure
         self.kernels = Kernels(structure)
-        self._tables: dict[tuple[int, bool], _Table] = {}
-        # formula -> (letters, scope); a kernel's letters are None
-        self.masks: dict[fm.Formula, tuple[int | None, int]] = {}
+        self._tables: dict[tuple[int, bool, int], _Table] = {}
+        # formula -> (letters, scope, whether it is a propositional kernel)
+        self.masks: dict[fm.Formula, tuple[int, int, bool]] = {}
         self.pairs: list[tuple[fm.Formula, bool]] = []
         self.pair_bit: dict[tuple[fm.Formula, bool], int] = {}
         self.memo: dict[tuple, bool] = {}
@@ -362,23 +375,25 @@ class Elements:
         self.reach_memo: dict[int, tuple[State, ...]] = {}
         self.witnesses: dict[tuple[fm.Formula, int], dict[Class, Witness]] = {}
 
-    def table(self, anchor: int, forward: bool) -> _Table:
-        """The joint-keyed witness table anchored at ``anchor``."""
-        key = (anchor, forward)
+    def table(self, anchor: int, forward: bool, letters: int = -1) -> _Table:
+        """The joint-keyed witness table anchored at ``anchor``, its labels
+        projected onto ``letters`` (all of them by default)."""
+        key = (anchor, forward, letters)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = _Table(self.k, anchor, forward, True)
+            table = self._tables[key] = _Table(self.k, anchor, forward, True, letters)
         return table
 
     def scope(self, f: fm.Formula) -> int:
         """The pairs of ``f`` as a bit mask, numbering the new ones."""
         return (self.masks.get(f) or self._masks(f))[1]
 
-    def _masks(self, f: fm.Formula) -> tuple[int | None, int]:
-        """Cache ``f``'s (letters, scope), numbering its new pairs; a
-        kernel's letters are None.  Every subformula is checked on first
-        sight, so a formula outside the evaluator raises ``FragmentError``
-        however much of it an evaluation reads."""
+    def _masks(self, f: fm.Formula) -> tuple[int, int, bool]:
+        """Cache ``f``'s (letters, scope, kernel), numbering its new pairs;
+        ``kernel`` says whether ``f`` is a propositional kernel.  Every
+        subformula is checked on first sight, so a formula outside the
+        evaluator raises ``FragmentError`` however much of it an evaluation
+        reads."""
         M = fm.Modality
         try:
             mods = fm.modalities(f)
@@ -386,7 +401,7 @@ class Elements:
             raise FragmentError("the checker needs a normalized formula") from None
         if not mods:
             self.kernels.compile(f)
-            masks: tuple[int | None, int] = (None, 0)
+            masks = (_letters(f, self.k), 0, True)
         else:
             if isinstance(f, fm.Not):
                 scope = self.scope(f.child)
@@ -408,15 +423,15 @@ class Elements:
                     scope = 0
                 elif f.mod is M.EBAR and scope:
                     raise FragmentError("<Ei>/[Ei] over <B>/[B] is outside the evaluator")
-            masks = (_letters(f, self.k), scope)
+            masks = (_letters(f, self.k), scope, False)
         self.masks[f] = masks
         return masks
 
     def check(self, f: fm.Formula, s: State) -> bool:
         """Evaluate a formula on a state whose bits follow the session's
         pair numbering (``scope``)."""
-        letters, scope = self.masks.get(f) or self._masks(f)
-        if letters is None:
+        letters, scope, kernel = self.masks.get(f) or self._masks(f)
+        if kernel:
             return self.kernels.on_joint(f, s[2])
         s = (s[0], s[1], s[2] & letters, s[3] & scope)
         key = (f, s)
@@ -439,9 +454,10 @@ class Elements:
             elif f.mod is fm.Modality.ABAR:
                 found = self.anchored(child, want, s[0], False)
             else:
+                # <Bi>/<Ei> read their child's letters
                 found = any(
                     self.check(child, r) == want
-                    for r in self.related(f.mod, s, self.scope(child))
+                    for r in self.related(f.mod, s, self.scope(child), letters)
                 )
             result = want == found
         else:
@@ -453,9 +469,10 @@ class Elements:
         """The shortest track realizing the first of the initial state's
         witnessed classes, in breadth-first order, that violates the
         formula: a shortest violating initial track, or None.  Exact for
-        a formula of scope 0."""
+        a formula of scope 0.  The table is projected onto the formula's
+        letters, which gives the full table's track (``_Table``)."""
         a = self.k.initial
-        table = self.table(a, True)
+        table = self.table(a, True, (self.masks.get(f) or self._masks(f))[0])
         for key in table.parent:
             joint, b = key
             if not self.check(f, (a, b, joint, 0)):
@@ -469,11 +486,11 @@ class Elements:
         key = (child, want, anchor, forward)
         cached = self.anchored_memo.get(key)
         if cached is None:
-            scope = self.scope(child)
+            letters, scope, _ = self.masks.get(child) or self._masks(child)
             if not scope:
                 states = (
                     (anchor, b, j, 0) if forward else (b, anchor, j, 0)
-                    for j, b in self.table(anchor, forward).parent
+                    for j, b in self.table(anchor, forward, letters).parent
                 )
             elif forward:
                 states = self.walk(self.starts(anchor), scope, {})
@@ -483,10 +500,14 @@ class Elements:
             self.anchored_memo[key] = cached
         return cached
 
-    def related(self, mod: fm.Modality, s: State, scope: int = 0) -> Iterator[State]:
+    def related(
+        self, mod: fm.Modality, s: State, scope: int = 0, letters: int = -1
+    ) -> Iterator[State]:
         """The states, masked to ``scope``, of the tracks an inverse
         started-by/finishes relates to a track of state ``s``, possibly
-        repeated.  ``s``'s bits lie within ``scope``."""
+        repeated.  ``s``'s bits lie within ``scope``.  At scope 0 the
+        concatenations' joints are projected onto ``letters``, all of them
+        by default."""
         M = fm.Modality
         if mod is M.BBAR and scope:
             yield from self.walk(self.successors(s, scope), scope, {})
@@ -497,12 +518,12 @@ class Elements:
             # t.v, then t followed by a track from v
             for v in self.k.successors(v_fin):
                 yield (v_in, v, joint & label(v), 0)
-                for j, b in self.table(v, True).parent:
+                for j, b in self.table(v, True, letters).parent:
                     yield (v_in, b, joint & j, 0)
         elif mod is M.EBAR and not scope:
             for u in self.k.predecessors(v_in):
                 yield (u, v_fin, joint & label(u), 0)
-                for j, b in self.table(u, False).parent:
+                for j, b in self.table(u, False, letters).parent:
                     yield (b, v_fin, joint & j, 0)
         else:
             raise FragmentError(f"no <{mod.value}> step at scope {scope}")

@@ -237,13 +237,14 @@ def test_depth0_counterexamples_have_the_shortest_refuted_length():
 def test_depth0_tables_are_built_through_the_module_global(monkeypatch, k2, text):
     # the benchmark's tracer counts witness tables by patching conp._Table
     # by name; the depth-0 element path must build its class walks through
-    # it, the initial state's forward one included
+    # it, the initial state's forward one included, whatever letters it
+    # is projected onto
     built = []
     table = conp._Table
 
-    def counting(structure, anchor, forward, by_joint=False):
+    def counting(structure, anchor, forward, by_joint=False, letters=-1):
         built.append((anchor, forward, by_joint))
-        return table(structure, anchor, forward, by_joint)
+        return table(structure, anchor, forward, by_joint, letters)
 
     monkeypatch.setattr(conp, "_Table", counting)
     assert not automaton.mod_check(k2, parse_formula(text)).holds
@@ -257,8 +258,11 @@ def test_fragment(k2):
         automaton.mod_check(k2, out)
     with pytest.raises(FragmentError):
         automaton.mod_check(k2, parse_formula("<E>p"))
-    # <Ei> over a started-by-free child is element-level
+    # <Ei> over a started-by-free child is element-level, and so is one
+    # whose started-by lies below <A>/<Ai>, read on other tracks
     assert automaton.in_fragment(normalize(parse_formula("<B><Ei>p")))
+    assert automaton.in_fragment(normalize(parse_formula("[Ei](<Ai>[B]p | q)")))
+    assert not automaton.in_fragment(normalize(parse_formula("<A><Ei><Bi><B>p")))
 
 
 def test_counterexamples_match_the_representative_engine(k2, fig4, sched):

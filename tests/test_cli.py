@@ -144,6 +144,35 @@ def test_check_routes_ei_over_started_by_to_representative(files, monkeypatch, k
     assert code == 2
 
 
+def test_check_decides_ei_over_started_by_below_meets_on_the_automaton(
+    files, monkeypatch
+):
+    # a started-by below <A>/<Ai> is read on the tracks from or into an
+    # endpoint, which prepending a state does not change, so <Ei> over it
+    # stays on the automaton
+    def refuse(*args, **kwargs):
+        raise AssertionError("the representative stream was walked")
+
+    monkeypatch.setattr("hsmc.checker.unravel", refuse)
+    cycle = "states: a b\ninit: a\nlabel a: p0\nlabel b: p0\nedges: a->a a->b b->a\n"
+    chain = (
+        "states: a b c\ninit: a\nlabel a: p0\nlabel b: p0 p1\n"
+        "edges: a->a a->b b->c c->a c->b\n"
+    )
+    for text, fixture, expected in (
+        ("<Ei><A><B>p0", cycle, (0, "result: holds\n")),
+        ("<Ei><A><B>p0", chain, (1, "result: violated\nCE: a b\n")),
+        ("[Ei]<A>[B]p1", SCHED_TEXT, (0, "result: holds\n")),
+    ):
+        model = files("m.txt", fixture)
+        formula = files("f.txt", text + "\n")
+        code, out = _run(["check", "--model", model, "--formula", formula])
+        assert (code, out) == expected, text
+        structure = parse_kripke(fixture)
+        holds = hsmc.oracle_mod_check(structure, parse_formula(text), hsmc.OracleConfig(8))
+        assert holds == (code == 0), text
+
+
 def test_check_automaton_engine_at_depth_zero(files):
     model = files("m.txt", MUTEX_TEXT)
     formula = files("f.txt", "[A](r0 -> [A](e0 | (!r0 & !r1 & !e0 & !e1)))\n")

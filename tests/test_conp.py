@@ -459,6 +459,61 @@ def test_element_memo_entries_are_masked_to_letters(mutex, sched):
             assert c[2] & ~_letters(f, structure) == 0, (to_text(f), c)
 
 
+class _FullTables(Elements):
+    """A session whose consumers read the all-letter tables."""
+
+    def table(self, anchor, forward, letters=-1):
+        return super().table(anchor, forward)
+
+
+def test_projected_tables_are_the_projections_of_the_full_table():
+    # a consumer reads the table projected onto the letters of the formula
+    # it evaluates.  Its classes must be the projections of the full
+    # table's, in breadth-first order, each realized by the track of the
+    # first full class that projects to it; so a consumer's verdicts and
+    # the initial violation's track are those of the full tables.  A letter
+    # of the initial state is or-ed onto each random formula, so that short
+    # tracks tend to satisfy it
+    rng = random.Random(75)
+    projected = longer = 0
+    for _ in range(150):
+        k = random_structure(rng, max_states=5, max_props=3)
+        props = [*k.propositions, "zz"]
+        mine = [fm.Prop(p) for p in sorted(k.label_set(k.initial))] or [fm.BOTTOM]
+        formulas = [
+            normalize(
+                fm.Or(
+                    rng.choice(mine),
+                    random_checker_formula(rng, props, max_modalities=4, max_nest=0),
+                )
+            )
+            for _ in range(4)
+        ]
+        session = Elements(k)
+        for g in formulas:
+            reference = _FullTables(k)
+            expected = reference.initial_violation(g)
+            assert session.initial_violation(g) == expected, to_text(g)
+            longer += expected is not None and len(expected) > 2
+            for c in reference.reachable(0):
+                assert session.check(g, c) == reference.check(g, c), (to_text(g), c)
+        masks = {letters for letters, _, _ in session.masks.values()}
+        for anchor in range(k.n_states):
+            for forward in (True, False):
+                full = _Table(k, anchor, forward, True)
+                for letters in masks:
+                    first = {}
+                    for j, b in full.parent:
+                        first.setdefault((j & letters, b), (j, b))
+                    table = _Table(k, anchor, forward, True, letters)
+                    assert list(table.parent) == list(first), letters
+                    for key, origin in first.items():
+                        assert table.track(key) == full.track(origin), (key, origin)
+                    projected += len(first) < len(full.parent)
+    assert projected >= 200  # projections that merge full classes are exercised
+    assert longer >= 15  # violations longer than two states are exercised
+
+
 def test_element_check_agrees_with_oracle_on_every_witnessed_class():
     # the joint-keyed walk realizes each class it reaches by a track of
     # that class, and Elements.check gives the oracle's verdict on it
