@@ -54,13 +54,11 @@ def in_fragment(f: fm.Formula) -> bool:
     """Whether the engine decides a normalized formula: its modalities are
     among ``A Ai B Bi Ei`` and no ``<Ei>``/``[Ei]`` has a started-by child
     outside ``<A>``/``<Ai>``."""
-    return fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES and not (
-        _ei_over_started_by(f)
-    )
+    return checker.in_fragment(f) and not _ei_over_started_by(f)
 
 
 def _require_fragment(f: fm.Formula) -> None:
-    checker._require_fragment(f)
+    checker._require_fragment(f, "automaton")
     if _ei_over_started_by(f):
         raise FragmentError(
             "the automaton engine cannot handle <Ei>/[Ei] over <B>/[B]; "

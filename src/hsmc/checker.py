@@ -15,7 +15,7 @@ emitted track with the same depth-k descriptor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import formula as fm
 from .conp import Elements, pack
@@ -25,21 +25,23 @@ from .kripke import KripkeStructure, Track
 from .unravel import Direction, unravel
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     holds: bool
     counterexample: Track | None = None
 
 
-def _require_fragment(f: fm.Formula) -> None:
+def in_fragment(f: fm.Formula) -> bool:
     # anything built from meets/met-by/started-by and the two inverses works
     # here; finishes must go to the counterexample or oracle engines
+    return fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES
+
+
+def _require_fragment(f: fm.Formula, engine: str = "representative") -> None:
+    """Raise exactly when ``in_fragment`` fails, naming ``engine``."""
     extra = fm.modalities(f) - fm.REPRESENTATIVE_MODALITIES
     if extra:
         names = ", ".join(sorted(m.value for m in extra))
-        raise FragmentError(
-            f"the representative engine cannot handle <{names}> formulas"
-        )
+        raise FragmentError(f"the {engine} engine cannot handle <{names}> formulas")
 
 
 class _Checker:
@@ -167,14 +169,17 @@ class _Checker:
 
 
 def check(
-    structure: KripkeStructure, budget: int, f: fm.Formula, track: Track
+    structure: KripkeStructure, budget: int | None, f: fm.Formula, track: Track
 ) -> bool:
     """Whether the track satisfies the formula; ``budget`` must be at least
-    the formula's started-by nesting depth."""
+    the formula's started-by nesting depth, which None stands for."""
     structure.track(track.states)
     g = fm.normalize(f)
     _require_fragment(g)
-    if fm.nest_b(g) > budget:
+    depth = fm.nest_b(g)
+    if budget is None:
+        budget = depth
+    elif depth > budget:
         raise ValueError("nesting budget below the formula's nesting depth")
     return _Checker(structure).check(budget, g, track)
 

@@ -12,10 +12,12 @@ import itertools
 import random
 import sys
 import warnings
+from typing import Callable, NamedTuple
 
 from . import automaton, checker, conp, oracle, reductions
 from . import descriptor as ds
 from . import formula as fm
+from .checker import Verdict
 from .errors import BoundWarning, HsmcError
 from .kripke import KripkeStructure, parse_kripke, serialize_kripke
 from .unravel import Direction, unravel
@@ -37,100 +39,101 @@ def _load_formula(path: str) -> fm.Formula:
         return fm.parse_formula(handle.read())
 
 
-def _track_engine(f: fm.Formula) -> str | None:
-    """The engine that decides the formula on tracks, if any: the automaton
-    unless some <Ei>/[Ei] has a started-by child outside <A>/<Ai>, then the
-    representatives."""
-    if automaton.in_fragment(f):
-        return "automaton"
-    if fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES:
-        return "representative"
-    return None
+class _Route(NamedTuple):
+    """An engine: the fragment test it refuses outside, ``decide(structure,
+    f, config, max_tau) -> (holds, counterexample or None)`` and, but for
+    conp, ``decide_track(structure, f, track, config) -> holds``."""
+
+    accepts: Callable[[fm.Formula], bool]
+    decide: Callable
+    decide_track: Callable | None
 
 
-def _pick_engine(f: fm.Formula, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    cls = fm.classify(f)
-    if cls in (fm.FragmentClass.PROP, fm.FragmentClass.FORALL_AABE):
-        return "conp"
-    engine = _track_engine(f)
-    if engine is None:
-        raise HsmcError(
-            f"no engine handles {cls.value} formulas; rerun with --engine oracle"
-        )
-    return engine
+def _conp(structure: KripkeStructure, f: fm.Formula, config, max_tau) -> Verdict:
+    found = conp.provide_counterex(structure, f)
+    return Verdict(found is None, found and found[1])
+
+
+def _oracle(structure: KripkeStructure, f: fm.Formula, config, max_tau) -> Verdict:
+    violating = oracle.oracle_find_counterexample(structure, f, config)
+    return Verdict(violating is None, violating)
+
+
+# ``--engine auto`` takes the first row whose test accepts the formula: with
+# ``--track``, of the rows with a per-track decider, so the oracle is the
+# fallback; on the whole structure, of the rows before the oracle.  conp's
+# test is its grammar minus the formulas over <A>/<Ai> alone, whose least
+# fragment is AAbar: those go to the automaton.  The deciders look their
+# engine up when called, so a patched engine is the one that runs
+_ROUTES = {
+    "conp": _Route(
+        lambda f: fm.classify(f) in (fm.FragmentClass.PROP, fm.FragmentClass.FORALL_AABE),
+        _conp,
+        None,
+    ),
+    "automaton": _Route(
+        automaton.in_fragment,
+        lambda k, f, config, max_tau: automaton.mod_check(k, f),
+        lambda k, f, track, config: automaton.check(k, f, track),
+    ),
+    "representative": _Route(
+        checker.in_fragment,
+        lambda k, f, config, max_tau: checker.mod_check(k, f, max_tau=max_tau),
+        lambda k, f, track, config: checker.check(k, None, f, track),
+    ),
+    "oracle": _Route(
+        lambda f: True,
+        _oracle,
+        lambda k, f, track, config: oracle.oracle_eval(k, track, f, config),
+    ),
+}
+
+
+def _pick(f: fm.Formula, on_track: bool) -> str:
+    """The engine ``--engine auto`` routes a normalized formula to."""
+    for name, route in _ROUTES.items():
+        if on_track and route.decide_track is None:
+            continue
+        if name == "oracle" and not on_track:
+            break
+        if route.accepts(f):
+            return name
+    raise HsmcError(
+        f"no engine handles {fm.classify(f).value} formulas; rerun with --engine oracle"
+    )
 
 
 def _cmd_check(args: argparse.Namespace, out) -> int:
     if args.max_tau < 0:
         raise ValueError("--max-tau must be nonnegative")
     structure = _load_model(args.model)
-    raw = _load_formula(args.formula)
-    normalized = fm.normalize(raw)
+    normalized = fm.normalize(_load_formula(args.formula))
     config = oracle.OracleConfig(depth_bound=args.depth)
+    on_track = args.track is not None
+    engine = _pick(normalized, on_track) if args.engine == "auto" else args.engine
+    route = _ROUTES[engine]
 
-    if args.track is not None:
+    counterexample = None
+    if on_track:
         track = structure.track(args.track)
-        engine = args.engine
-        if engine == "auto":
-            engine = _track_engine(normalized) or "oracle"
-        if engine == "automaton":
-            holds = automaton.check(structure, normalized, track)
-        elif engine == "representative":
-            holds = checker.check(structure, fm.nest_b(normalized), normalized, track)
-        elif engine == "oracle":
-            holds = oracle.oracle_eval(structure, track, normalized, config)
-        else:
+        if route.decide_track is None:
             raise HsmcError(
                 "per-track checking needs the automaton, representative or oracle engine"
             )
-        out.write(f"result: {'holds' if holds else 'violated'}\n")
-        return EXIT_HOLDS if holds else EXIT_VIOLATED
-
-    engine = _pick_engine(normalized, args.engine)
-    counterexample: str | None = None
-    if engine in ("automaton", "representative"):
-        if engine == "automaton":
-            verdict = automaton.mod_check(structure, normalized)
-        else:
-            verdict = checker.mod_check(structure, normalized, max_tau=args.max_tau)
-        holds = verdict.holds
-        if verdict.counterexample is not None:
-            counterexample = structure.track_str(verdict.counterexample)
-    elif engine == "conp":
-        found = conp.provide_counterex(structure, normalized)
-        holds = found is None
-        if found is not None:
-            counterexample = structure.track_str(found[1])
+        holds = route.decide_track(structure, normalized, track, config)
     else:
-        violating = oracle.oracle_find_counterexample(structure, normalized, config)
-        holds = violating is None
-        if violating is not None:
-            counterexample = structure.track_str(violating)
+        holds, counterexample = route.decide(structure, normalized, config, args.max_tau)
+        if args.verify_with_oracle:
+            if oracle.oracle_mod_check(structure, normalized, config) != holds:
+                raise HsmcError("engine verdict disagrees with the oracle")
 
-    if args.verify_with_oracle:
-        if oracle.oracle_mod_check(structure, normalized, config) != holds:
-            raise HsmcError("engine verdict disagrees with the oracle")
-
-    out.write(f"result: {'holds' if holds else 'violated'}\n")
+    note = f" (depth {args.depth})" if args.command == "oracle" else ""
+    out.write(f"result: {'holds' if holds else 'violated'}{note}\n")
     if counterexample is not None:
-        out.write(f"CE: {counterexample}\n")
+        out.write(f"CE: {structure.track_str(counterexample)}\n")
+        if args.command == "counterexample":
+            out.write(f"formula: {fm.to_text(fm.to_exists_dual(normalized))}\n")
     return EXIT_HOLDS if holds else EXIT_VIOLATED
-
-
-def _cmd_counterexample(args: argparse.Namespace, out) -> int:
-    structure = _load_model(args.model)
-    raw = fm.normalize(_load_formula(args.formula))
-    found = conp.provide_counterex(structure, raw)
-    if found is None:
-        out.write("result: holds\n")
-        return EXIT_HOLDS
-    element, track = found
-    out.write("result: violated\n")
-    out.write(f"CE: {structure.track_str(track)}\n")
-    out.write(f"formula: {fm.to_text(fm.to_exists_dual(raw))}\n")
-    return EXIT_VIOLATED
 
 
 def _cmd_descriptors(args: argparse.Namespace, out) -> int:
@@ -179,22 +182,6 @@ def _cmd_unravel(args: argparse.Namespace, out) -> int:
     return EXIT_HOLDS
 
 
-def _cmd_oracle(args: argparse.Namespace, out) -> int:
-    structure = _load_model(args.model)
-    raw = _load_formula(args.formula)
-    config = oracle.OracleConfig(depth_bound=args.depth)
-    if args.track is not None:
-        holds = oracle.oracle_eval(structure, structure.track(args.track), raw, config)
-        violating = None
-    else:
-        violating = oracle.oracle_find_counterexample(structure, raw, config)
-        holds = violating is None
-    out.write(f"result: {'holds' if holds else 'violated'} (depth {args.depth})\n")
-    if violating is not None:
-        out.write(f"CE: {structure.track_str(violating)}\n")
-    return EXIT_HOLDS if holds else EXIT_VIOLATED
-
-
 def _cmd_gen(args: argparse.Namespace, out) -> int:
     rng = random.Random(args.seed)
     if args.kind == "qbf":
@@ -239,10 +226,17 @@ def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.set_defaults(run=_cmd_check)
 
 
+# the arguments of ``check`` that ``counterexample`` and ``oracle`` leave out
+_CHECK_DEFAULTS = dict(
+    run=_cmd_check, depth=12, track=None, max_tau=DEFAULT_MAX_TAU, verify_with_oracle=False
+)
+
+
 def _counterexample_arguments(cex: argparse.ArgumentParser) -> None:
     cex.add_argument("--model", required=True)
     cex.add_argument("--formula", required=True)
-    cex.set_defaults(run=_cmd_counterexample)
+    # ``check --engine conp`` that also prints the dual a violation satisfies
+    cex.set_defaults(engine="conp", **_CHECK_DEFAULTS)
 
 
 def _descriptors_arguments(desc: argparse.ArgumentParser) -> None:
@@ -266,7 +260,8 @@ def _oracle_arguments(orc: argparse.ArgumentParser) -> None:
     orc.add_argument("--formula", required=True)
     orc.add_argument("--depth", type=int, default=12)
     orc.add_argument("--track", default=None)
-    orc.set_defaults(run=_cmd_oracle)
+    # ``check --engine oracle`` with the depth on the verdict line
+    orc.set_defaults(engine="oracle", **_CHECK_DEFAULTS)
 
 
 def _gen_arguments(gen: argparse.ArgumentParser) -> None:

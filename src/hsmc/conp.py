@@ -716,7 +716,7 @@ def provide_counterex(
     g = fm.normalize(f)
     if not fm.matches_forall_grammar(g):
         raise FragmentError(
-            f"provide_counterex expects a universal-fragment formula, got {fm.classify(g).value}"
+            f"the conp engine expects a universal-fragment formula, got {fm.classify(g).value}"
         )
     session = Elements(structure)
     a = structure.initial

@@ -7,7 +7,6 @@ from hsmc import (
     FragmentError,
     MissingEdgeError,
     ModelError,
-    OracleConfig,
     Track,
     automaton,
     check,
@@ -15,51 +14,14 @@ from hsmc import (
     nest_b,
     normalize,
     oracle_eval,
-    oracle_mod_check,
     parse_formula,
     parse_kripke,
-    to_text,
 )
 
 from hsmc import conp
 from hsmc.conp import Elements, _letters, _Table
-from hsmc.oracle import all_tracks
 
-from corpus import pair_free_stats, random_checker_formula, random_structure, random_walk
-
-
-def _instances(seed, max_states, max_nest, count):
-    """Seeded (structure, formula, oracle config) triples at started-by depth
-    >= 1 inside the automaton's fragment, small enough for the
-    representative engine and an exact oracle."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        structure = random_structure(rng, max_states=max_states)
-        g = normalize(
-            random_checker_formula(rng, list(structure.propositions), max_nest=max_nest)
-        )
-        if nest_b(g) < 1 or not automaton.in_fragment(g):
-            continue
-        stats = pair_free_stats(structure, nest_b(g), cap_count=20_000)
-        if stats is None or stats[0] > 9:
-            continue
-        out.append((structure, g, OracleConfig(depth_bound=stats[0] + 1)))
-    return out
-
-
-@pytest.mark.parametrize("seed,max_states,max_nest", [(61, 3, 2), (62, 4, 3)])
-def test_agrees_with_representative_engine_and_oracle(seed, max_states, max_nest):
-    violated = 0
-    for structure, g, config in _instances(seed, max_states, max_nest, 60):
-        verdict = automaton.mod_check(structure, g)
-        assert verdict.holds == mod_check(structure, g).holds, g
-        assert verdict.holds == oracle_mod_check(structure, g, config), g
-        if not verdict.holds:
-            violated += 1
-            assert verdict.counterexample.fst == structure.initial
-            assert not oracle_eval(structure, verdict.counterexample, g, config)
-    assert violated >= 20  # both verdicts are exercised
+from corpus import random_checker_formula, random_structure, random_walk
 
 
 def test_track_check_agrees_with_representative_engine():
@@ -201,36 +163,6 @@ def test_depth0_counterexample_is_a_shortest_violating_initial_track():
     for engine in (automaton.mod_check, mod_check):
         verdict = engine(structure, f)
         assert structure.track_str(verdict.counterexample) == "s0 s4 s1"
-
-
-def test_depth0_counterexamples_have_the_shortest_refuted_length():
-    # the oracle refutes each depth-0 counterexample and no shorter initial
-    # track.  A letter of the initial state is or-ed onto the random
-    # formula, so that short tracks tend to satisfy it
-    rng = random.Random(83)
-    tested = longer = 0
-    while tested < 200:
-        structure = random_structure(rng, max_states=5, max_props=3)
-        mine = sorted(structure.label_set(structure.initial))
-        if structure.n_states < 2 or not mine:
-            continue
-        g = random_checker_formula(rng, [*structure.propositions, "zz"], max_nest=0)
-        g = normalize(fm.Or(fm.Prop(rng.choice(mine)), g))
-        stats = pair_free_stats(structure, 0, cap_count=20_000)
-        if stats is None or stats[0] > 9:
-            continue
-        tested += 1
-        verdict = automaton.mod_check(structure, g)
-        assert verdict == mod_check(structure, g), to_text(g)
-        if verdict.holds:
-            continue
-        config = OracleConfig(depth_bound=stats[0] + 1)
-        ce = verdict.counterexample
-        assert not oracle_eval(structure, ce, g, config), to_text(g)
-        shorter = all_tracks(structure, structure.initial, len(ce) - 1)
-        assert all(oracle_eval(structure, t, g, config) for t in shorter), to_text(g)
-        longer += len(ce) > 2
-    assert longer >= 5  # counterexamples longer than two states are exercised
 
 
 @pytest.mark.parametrize("text", ["[A]q", "<Bi>p", "[A](<Bi>q | p)"])

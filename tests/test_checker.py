@@ -14,7 +14,6 @@ from hsmc import (
     nest_b,
     normalize,
     oracle_eval,
-    oracle_mod_check,
     parse_formula,
 )
 from hsmc.conp import Elements
@@ -82,29 +81,6 @@ def test_counterexample_is_refutable_by_oracle(k2):
     verdict = mod_check(k2, parse_formula("[A]q"))
     assert not verdict.holds
     assert not oracle_eval(k2, verdict.counterexample, parse_formula("[A]q"), OracleConfig(8))
-
-
-def test_agrees_with_oracle_on_random_instances():
-    # the max_nest=0 batch keeps <Bi>/<Ei> on the element path
-    for seed, max_nest in ((51, 2), (53, 0)):
-        rng = random.Random(seed)
-        tested = 0
-        while tested < 40:
-            structure = random_structure(rng)
-            formula = random_checker_formula(
-                rng, list(structure.propositions), max_nest=max_nest
-            )
-            g = normalize(formula)
-            stats = pair_free_stats(structure, nest_b(g), cap_count=20_000)
-            if stats is None or stats[0] > 9:
-                continue
-            config = OracleConfig(depth_bound=stats[0] + 1)
-            verdict = mod_check(structure, g)
-            assert verdict.holds == oracle_mod_check(structure, g, config)
-            if not verdict.holds:
-                assert verdict.counterexample.fst == structure.initial
-                assert not oracle_eval(structure, verdict.counterexample, g, config)
-            tested += 1
 
 
 def test_inverse_clauses_relate_exactly_the_extension_elements():

@@ -106,81 +106,84 @@ def test_check_max_tau_guard(files, capsys):
     assert code == 1
 
 
-def test_check_routes_existential_started_by_to_representative(files):
-    model = files("m.txt", K2_TEXT)
-    formula = files("f.txt", "<B>p\n")
-    code, out = _run(["check", "--model", model, "--formula", formula])
-    assert code == 1
-    assert out == "result: violated\nCE: v0 v0\n"
+# small fixtures on which an <Ei> over a started-by below <A> holds and
+# fails: such a started-by is read on the tracks from or into an endpoint,
+# which prepending a state does not change, so <Ei> over it stays on the
+# automaton
+CYCLE_TEXT = "states: a b\ninit: a\nlabel a: p0\nlabel b: p0\nedges: a->a a->b b->a\n"
+CHAIN_TEXT = (
+    "states: a b c\ninit: a\nlabel a: p0\nlabel b: p0 p1\n"
+    "edges: a->a a->b b->c c->a c->b\n"
+)
+
+# each engine's structure decider, patched to refuse where another one routes
+_DECIDERS = {
+    "conp": "hsmc.conp.provide_counterex",
+    "automaton": "hsmc.automaton.mod_check",
+    "representative": "hsmc.checker.mod_check",
+    "oracle": "hsmc.oracle.oracle_find_counterexample",
+}
 
 
-def test_check_decides_started_by_probes_on_the_automaton(files, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the representative stream was walked")
-
-    monkeypatch.setattr("hsmc.checker.unravel", refuse)
-    for text, fixture in (("[B][B]<A>T", FIG4_TEXT), ("<B><A>e0 | [A]T", MUTEX_TEXT)):
-        model = files("m.txt", fixture)
-        formula = files("f.txt", text + "\n")
-        code, out = _run(["check", "--model", model, "--formula", formula])
-        assert (code, out) == (0, "result: holds\n"), text
-
-
-def test_check_routes_ei_over_started_by_to_representative(files, monkeypatch, k2):
-    def refuse(*args, **kwargs):
-        raise AssertionError("routed to the automaton")
-
-    monkeypatch.setattr("hsmc.automaton.mod_check", refuse)
-    model = files("m.txt", K2_TEXT)
-    text = "[A]<Ei>[B]q"
-    formula = files("f.txt", text + "\n")
-    code, _ = _run(["check", "--model", model, "--formula", formula])
-    assert code == 1
-    assert not hsmc.oracle_mod_check(k2, parse_formula(text), hsmc.OracleConfig(8))
-    monkeypatch.undo()
-    code, _ = _run(
-        ["check", "--model", model, "--formula", formula, "--engine", "automaton"]
-    )
-    assert code == 2
-
-
-def test_check_decides_ei_over_started_by_below_meets_on_the_automaton(
-    files, monkeypatch
+@pytest.mark.parametrize(
+    "fixture, text, engine, expected, also, oracle_depth",
+    [
+        (K2_TEXT, "<B>p", "automaton", (1, "result: violated\nCE: v0 v0\n"), (), None),
+        # universal, but over <A>/<Ai> alone: conp's row leaves it to the automaton
+        (K2_TEXT, "[A](p | q)", "automaton", (1, "result: violated\nCE: v0 v0\n"), ("conp",), 8),
+        (K2_TEXT, "[B]F", "conp", (1, "result: violated\nCE: v0 v0 v0\n"), (), 8),
+        (FIG4_TEXT, "[B][B]<A>T", "automaton", (0, "result: holds\n"), (), None),
+        (MUTEX_TEXT, "<B><A>e0 | [A]T", "automaton", (0, "result: holds\n"), (), None),
+        (K2_TEXT, "[A]<Ei>[B]q", "representative", (1, "result: violated\nCE: v0 v0\n"), (), 8),
+        (CYCLE_TEXT, "<Ei><A><B>p0", "automaton", (0, "result: holds\n"), (), 8),
+        (CHAIN_TEXT, "<Ei><A><B>p0", "automaton", (1, "result: violated\nCE: a b\n"), (), 8),
+        (SCHED_TEXT, "[Ei]<A>[B]p1", "automaton", (0, "result: holds\n"), (), 8),
+        (
+            MUTEX_TEXT,
+            "[A](r0 -> [A](e0 | (!r0 & !r1 & !e0 & !e1)))",
+            "automaton",
+            (1, "result: violated\nCE: w0 w1\n"),
+            ("automaton", "representative"),
+            None,
+        ),
+    ],
+    ids=[
+        "started-by-diamond",
+        "universal-meets-only",
+        "universal-started-by",
+        "fig4-started-by-probe",
+        "mutex-started-by-probe",
+        "ei-over-started-by",
+        "ei-over-started-by-below-meets-holds",
+        "ei-over-started-by-below-meets-violated",
+        "sched-ei-over-started-by-below-meets",
+        "mutex-depth-zero",
+    ],
+)
+def test_check_routes_each_formula_to_one_engine(
+    files, monkeypatch, fixture, text, engine, expected, also, oracle_depth
 ):
-    # a started-by below <A>/<Ai> is read on the tracks from or into an
-    # endpoint, which prepending a state does not change, so <Ei> over it
-    # stays on the automaton
+    # auto decides the formula on the expected engine with every other
+    # engine's structure decider refusing; each engine in ``also`` prints
+    # the same when asked by name, and the oracle agrees on the verdict
     def refuse(*args, **kwargs):
-        raise AssertionError("the representative stream was walked")
+        raise AssertionError("routed to another engine")
 
-    monkeypatch.setattr("hsmc.checker.unravel", refuse)
-    cycle = "states: a b\ninit: a\nlabel a: p0\nlabel b: p0\nedges: a->a a->b b->a\n"
-    chain = (
-        "states: a b c\ninit: a\nlabel a: p0\nlabel b: p0 p1\n"
-        "edges: a->a a->b b->c c->a c->b\n"
-    )
-    for text, fixture, expected in (
-        ("<Ei><A><B>p0", cycle, (0, "result: holds\n")),
-        ("<Ei><A><B>p0", chain, (1, "result: violated\nCE: a b\n")),
-        ("[Ei]<A>[B]p1", SCHED_TEXT, (0, "result: holds\n")),
-    ):
-        model = files("m.txt", fixture)
-        formula = files("f.txt", text + "\n")
-        code, out = _run(["check", "--model", model, "--formula", formula])
-        assert (code, out) == expected, text
+    for name, target in _DECIDERS.items():
+        if name != engine:
+            monkeypatch.setattr(target, refuse)
+    model = files("m.txt", fixture)
+    formula = files("f.txt", text + "\n")
+    argv = ["check", "--model", model, "--formula", formula]
+    assert _run(argv) == expected, text
+    monkeypatch.undo()
+    for name in also:
+        assert _run([*argv, "--engine", name]) == expected, (text, name)
+    if oracle_depth is not None:
         structure = parse_kripke(fixture)
-        holds = hsmc.oracle_mod_check(structure, parse_formula(text), hsmc.OracleConfig(8))
-        assert holds == (code == 0), text
-
-
-def test_check_automaton_engine_at_depth_zero(files):
-    model = files("m.txt", MUTEX_TEXT)
-    formula = files("f.txt", "[A](r0 -> [A](e0 | (!r0 & !r1 & !e0 & !e1)))\n")
-    outputs = {
-        engine: _run(["check", "--model", model, "--formula", formula, "--engine", engine])
-        for engine in ("auto", "automaton", "representative")
-    }
-    assert set(outputs.values()) == {(1, "result: violated\nCE: w0 w1\n")}
+        config = hsmc.OracleConfig(oracle_depth)
+        holds = hsmc.oracle_mod_check(structure, parse_formula(text), config)
+        assert holds == (expected[0] == 0), text
 
 
 def test_counterexample_command(files):
