@@ -22,7 +22,7 @@ from __future__ import annotations
 from . import checker
 from . import formula as fm
 from .checker import Verdict
-from .conp import Elements, State
+from .conp import Elements
 from .errors import FragmentError
 from .kripke import KripkeStructure, Track
 
@@ -66,15 +66,6 @@ def _require_fragment(f: fm.Formula) -> None:
         )
 
 
-def _unwind(state: State, parent: dict) -> Track:
-    finals = []
-    cursor: State | None = state
-    while cursor is not None:
-        finals.append(cursor[1])
-        cursor = parent[cursor]
-    return Track((state[0], *reversed(finals)))
-
-
 def check(structure: KripkeStructure, f: fm.Formula, track: Track) -> bool:
     """Whether the track satisfies the formula: the step is folded along the
     track and the formula read on the final state."""
@@ -95,18 +86,9 @@ def mod_check(structure: KripkeStructure, f: fm.Formula) -> Verdict:
 
     The product states of the initial tracks are searched breadth-first and
     each is checked when it is dequeued, so a violation comes with a
-    shortest violating initial track.  At scope 0 they are the initial
-    state's witnessed classes, checked as in ``checker.mod_check``.
+    shortest violating initial track (``conp.Elements.first_violation``).
     """
     g = fm.normalize(f)
     _require_fragment(g)
-    session = Elements(structure)
-    scope = session.scope(g)
-    if not scope:
-        violation = session.initial_violation(g)
-        return Verdict(violation is None, violation)
-    parent: dict[State, State | None] = {}
-    for state in session.walk(session.starts(structure.initial), scope, parent):
-        if not session.check(g, state):
-            return Verdict(False, _unwind(state, parent))
-    return Verdict(True)
+    violation = Elements(structure).first_violation(g)
+    return Verdict(violation is None, violation)

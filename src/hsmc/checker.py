@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import formula as fm
-from .conp import Elements, pack
+from .conp import Elements, element_state
 from .descriptor import descriptor_element, tau
 from .errors import FragmentError, ResourceLimitError
 from .kripke import KripkeStructure, Track
@@ -63,8 +63,7 @@ class _Checker:
     def check(self, budget: int, f: fm.Formula, track: Track) -> bool:
         if fm.Modality.B not in fm.modalities(f):
             # truth only depends on the track's class
-            e = pack(self.k, descriptor_element(track))
-            return self.elements.check(f, (e[0], e[2], e[3], 0))
+            return self.elements.check(f, element_state(self.k, descriptor_element(track)))
         key = (track.states, f, budget)
         cached = self.track_memo.get(key)
         if cached is not None:
@@ -201,7 +200,7 @@ def mod_check(
     _require_fragment(g)
     depth = fm.nest_b(g)
     if depth == 0:
-        violation = Elements(structure).initial_violation(g)
+        violation = Elements(structure).first_violation(g)
         return Verdict(violation is None, violation)
     bound = tau(structure.n_states, depth)
     if max_tau is not None and bound > max_tau:

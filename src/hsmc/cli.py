@@ -123,9 +123,13 @@ def _cmd_check(args: argparse.Namespace, out) -> int:
         holds = route.decide_track(structure, normalized, track, config)
     else:
         holds, counterexample = route.decide(structure, normalized, config, args.max_tau)
-        if args.verify_with_oracle:
-            if oracle.oracle_mod_check(structure, normalized, config) != holds:
-                raise HsmcError("engine verdict disagrees with the oracle")
+    if args.verify_with_oracle:
+        if on_track:
+            referee = oracle.oracle_eval(structure, track, normalized, config)
+        else:
+            referee = oracle.oracle_mod_check(structure, normalized, config)
+        if referee != holds:
+            raise HsmcError("engine verdict disagrees with the oracle")
 
     note = f" (depth {args.depth})" if args.command == "oracle" else ""
     out.write(f"result: {'holds' if holds else 'violated'}{note}\n")

@@ -11,12 +11,6 @@ class alone.  It is a deterministic exhaustive rendering of the paper's
 guess-and-verify procedure; only ``witnessed_elements`` and
 ``realize_element`` still walk descriptor elements.
 
-Inside the engines an element is packed as an ``Element`` tuple that
-carries its joint label mask J, the AND of the label masks of all of its
-states: the table walk builds the joint at one ``&`` per key.  The public
-functions take and return ``DescriptorElement`` and convert at the
-boundary.
-
 A formula without started-by has one truth value on all tracks that share
 a class ``(v_in, v_fin, J)``: under homogeneity a letter reads only J,
 meets/met-by read only an endpoint, and extending a track to the right by
@@ -27,11 +21,11 @@ mirror.  A formula with started-by also reads, per ``<B>child``/
 each, and a class with these bits is a state ``(v_in, v_fin, J, bits)``.
 ``Elements`` is the one evaluator on states, one session per request, for
 the search here, the automaton and the representative walk (which sends it
-started-by-free formulas only).  It walks classes, not elements: its
-witness tables are keyed by ``(joint, boundary)`` and projected onto the
-letters of the formula each consumer evaluates, and its memo is keyed by
-the state with the joint masked to the letters the subformula reads and
-the bits to the pairs it reads.
+started-by-free formulas only).  It walks states, not elements, with one
+breadth-first walk (``Elements.walk``): its witness tables are that walk at
+scope 0, every walk is projected onto the letters of the formula it
+serves, and its memo is keyed by the state with the joint masked to the
+letters the subformula reads and the bits to the pairs it reads.
 """
 
 from __future__ import annotations
@@ -99,19 +93,13 @@ def _compile(f: fm.Formula, structure: KripkeStructure, positive: bool = True):
     )
 
 
-# A descriptor element as the engines carry it: (v_in, internal mask,
-# v_fin, joint), where joint is the AND of the label masks of all of its
-# states.  The joint is a function of the other three fields, so packed
-# elements hash and compare as the triples do.
-Element = tuple[int, int, int, int]
-# The class (v_in, v_fin, joint) of an element: all that a started-by-free
-# formula reads.
-Class = tuple[int, int, int]
-# A class and the bits of the started-by pairs its track's proper prefixes
-# satisfy: all that Elements.check reads.
+# A class (v_in, v_fin, joint), where joint is the AND of the label masks of
+# all of a track's states, and the bits of the started-by pairs its track's
+# proper prefixes satisfy: all that Elements.check reads.  A class is a
+# state whose bits are 0.
 State = tuple[int, int, int, int]
 # How Elements.replay rebuilds a track of some class: None for the shortest
-# track of the class in its first state's joint-keyed table, or (forward,
+# track of the class in its first state's witness table, or (forward,
 # previous class, its derivation) for a track of the previous class extended
 # by the class's last state when forward, else by its first state.
 Derivation = tuple | None
@@ -120,18 +108,15 @@ Derivation = tuple | None
 Witness = tuple[int, Derivation]
 
 
-def pack(structure: KripkeStructure, d: DescriptorElement) -> Element:
-    """The packed form of a descriptor element of the structure."""
+def element_state(structure: KripkeStructure, d: DescriptorElement) -> State:
+    """The state of the tracks that realize a descriptor element: its class,
+    with no bits."""
     joint = (
         structure.joint_label_mask(d.internal)
         & structure.label_mask(d.v_in)
         & structure.label_mask(d.v_fin)
     )
-    return (d.v_in, d.internal, d.v_fin, joint)
-
-
-def unpack(element: Element) -> DescriptorElement:
-    return DescriptorElement(element[0], element[1], element[2])
+    return (d.v_in, d.v_fin, joint, 0)
 
 
 class Kernels:
@@ -163,7 +148,7 @@ def val(f: fm.Formula, element: DescriptorElement, structure: KripkeStructure) -
     """Evaluate a pure propositional formula on a descriptor element: a
     letter holds iff it labels the entry state, the final state, and every
     internal state."""
-    return Kernels(structure).on_joint(f, pack(structure, element)[3])
+    return Kernels(structure).on_joint(f, element_state(structure, element)[2])
 
 
 def concat_descr(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElement:
@@ -173,114 +158,45 @@ def concat_descr(d1: DescriptorElement, d2: DescriptorElement) -> DescriptorElem
     return DescriptorElement(d1.v_in, internal, d2.v_fin)
 
 
+def _unwind(s: tuple, parent: dict, forward: bool = True) -> Track:
+    """The track by which a breadth-first walk first reached ``s``, read off
+    its parent pointers: each step added a last state when ``forward``,
+    else a first state.  ``s`` and its ancestors are ``(v_in, v_fin, ...)``
+    tuples, as the states of ``Elements.walk`` and the keys of
+    ``_element_walk`` are."""
+    ends = []
+    cursor = s
+    while cursor is not None:
+        ends.append(cursor[1] if forward else cursor[0])
+        cursor = parent[cursor]
+    if forward:
+        return Track((s[0], *reversed(ends)))
+    return Track((*ends, s[1]))
+
+
 class _Table:
-    """Witnessed descriptor elements, or their classes, anchored at one
-    state, with parent pointers for shortest realizations.
+    """A witness table: the session's scope-0 walk from (``forward``) or
+    into ``anchor``, its starts projected onto ``letters``, materialized.
+    ``parent`` maps the state of every track from or into the anchor to the
+    state it was first reached from, in breadth-first order, so the track
+    ``_unwind`` reads off for a state is a shortest one of that state,
+    within the quadratic length bound.
 
-    Forward: tracks starting at the anchor, closed under extending a track
-    by one edge.  Backward: tracks ending at the anchor, closed under
-    prepending.  One breadth-first walk over ``(fold, boundary)`` keys
-    serves both; the boundary is the final state going forward and the
-    first state going backward, so only the neighbour function and the
-    element's orientation depend on the direction.  Breadth-first order
-    keeps every realization within the quadratic length bound.
+    Projection commutes with the step, so a projected table's states are
+    the projections of the full table's, in the order of the first full
+    state that projects to each, and each is reached through the projection
+    of that state's parent: its track is that state's.
 
-    The walk carries each key's joint label mask: extending a track by a
-    state ANDs in the new boundary's label, one ``&`` per key.  Only the
-    fold differs between the two keyings:
-
-    - by internal mask (the default): the fold is the element's internal
-      mask, and the old boundary turns internal at each step.  The keys are
-      the witnessed elements, which come out packed, ``(v_in, internal,
-      v_fin, joint)``.
-    - ``by_joint``: the fold is the joint itself.  The class of a one-state
-      extension depends only on the track's class, so the keys are the
-      witnessed classes ``(joint, boundary)``, each reached once, in order
-      of its shortest realization.
-
-    ``letters`` projects every label onto a letter mask before the walk, so
-    the joints are the projected ones.  Projection commutes with the step,
-    so the projected keys are the projections of the full keys, in the
-    order of the first full key that projects to each, and each is reached
-    through the projection of that key's parent: its track is that key's.
+    The class adds nothing to the walk but a name: the benchmark's tracer
+    counts witness tables by patching ``conp._Table``, and reads
+    ``len(table.parent)`` as the table's size.
     """
 
-    def __init__(
-        self,
-        structure: KripkeStructure,
-        anchor: int,
-        forward: bool,
-        by_joint: bool = False,
-        letters: int = -1,
-    ):
-        self.k = structure
-        self.anchor = anchor
-        self.forward = forward
-        self.parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.joint: dict[tuple[int, int], int] = {}
-        self._elements: tuple[Element, ...] | None = None
-        neighbours = structure.successors if forward else structure.predecessors
-        labels = [structure.label_mask(v) & letters for v in range(structure.n_states)]
-        parent, joints = self.parent, self.joint
-        queue: deque[tuple[int, int]] = deque()
-        for w in neighbours(anchor):
-            joint = labels[anchor] & labels[w]
-            key = (joint if by_joint else 0, w)
-            if key not in parent:
-                parent[key] = None
-                joints[key] = joint
-                queue.append(key)
-        while queue:
-            item = queue.popleft()
-            fold, boundary = item
-            if not by_joint:
-                fold |= 1 << boundary
-            joint = joints[item]
-            for nxt in neighbours(boundary):
-                key = (joint & labels[nxt] if by_joint else fold, nxt)
-                if key not in parent:
-                    parent[key] = item
-                    joints[key] = joint & labels[nxt]
-                    queue.append(key)
-
-    def _key(self, element) -> tuple[int, int] | None:
-        if self.forward:
-            anchor, boundary = element[0], element[2]
-        else:
-            anchor, boundary = element[2], element[0]
-        return (element[1], boundary) if anchor == self.anchor else None
-
-    def elements(self) -> tuple[Element, ...]:
-        """The witnessed elements in (internal, v_in, v_fin) order, sorted
-        on the first call and kept."""
-        if self._elements is None:
-            a = self.anchor
-            keys = sorted(self.joint.items())
-            if self.forward:
-                out = [(a, mask, b, joint) for (mask, b), joint in keys]
-            else:
-                out = [(b, mask, a, joint) for (mask, b), joint in keys]
-            self._elements = tuple(out)
-        return self._elements
-
-    def realize(self, element) -> Track:
-        """A track of length at most 2 + |W|^2 realizing the element, given
-        packed or as a ``(v_in, internal, v_fin)`` triple."""
-        key = self._key(element)
-        if key not in self.parent:
-            raise KeyError(f"element {element} is not witnessed at this anchor")
-        return self.track(key)
-
-    def track(self, key: tuple[int, int]) -> Track:
-        """The shortest track the walk reached a key by."""
-        hops = []
-        cursor: tuple[int, int] | None = key
-        while cursor is not None:
-            hops.append(cursor[1])
-            cursor = self.parent[cursor]
-        if self.forward:
-            return Track((self.anchor, *reversed(hops)))
-        return Track((*hops, self.anchor))
+    def __init__(self, session: Elements, anchor: int, forward: bool, letters: int = -1):
+        self.parent: dict[State, State | None] = {}
+        starts = session.starts(anchor, forward, letters)
+        for _ in session.walk(starts, 0, self.parent, forward):
+            pass
 
 
 _ENDPOINT_MODALITIES = frozenset({fm.Modality.A, fm.Modality.ABAR})
@@ -345,15 +261,18 @@ class Elements:
     of each pair of that scope; a pair's child does not contain the pair,
     so its scope is strictly smaller, and the recursion is well-founded.
 
-    At scope 0 the states are the witnessed classes, and every walk reads
-    the joint-keyed witness tables of ``_Table``, projected onto the
-    letters of the formula it serves: ``anchored`` and ``related`` onto
-    those of the formula they read on the table's classes,
-    ``initial_violation`` onto those of the formula it checks.  Above scope
-    0 the session walks the product of the structure and the scope's bits
-    breadth-first (``walk``).  Results are cached per (subformula, masked
-    state), the meets/met-by ones per (subformula, endpoint), and the
-    witness tables per (anchor, direction, letters).
+    **One walk.**  ``walk`` is the session's one breadth-first loop: it
+    walks the product of the structure and a scope's bits forward, or at
+    scope 0 backward.  At scope 0 the states are the witnessed classes, and
+    a witness table (``_Table``) is the walk from or into one state,
+    materialized and cached per (anchor, direction, letters).  Every walk
+    is projected at its starts onto the letters of the formula it serves:
+    ``first_violation`` onto those of the formula it checks, ``anchored``
+    and ``related`` onto those of the formula they read on the walk's
+    states.  A successor's joint is a submask of its parent's, so masking
+    the starts projects the whole walk.  Results are cached per
+    (subformula, masked state), and the meets/met-by ones per (subformula,
+    endpoint).
 
     For the counterexample search the session also maps an existential-
     fragment formula to the classes of its satisfying tracks from an
@@ -365,6 +284,7 @@ class Elements:
     def __init__(self, structure: KripkeStructure):
         self.k = structure
         self.kernels = Kernels(structure)
+        self.labels = tuple(map(structure.label_mask, range(structure.n_states)))
         self._tables: dict[tuple[int, bool, int], _Table] = {}
         # formula -> (letters, scope, whether it is a propositional kernel)
         self.masks: dict[fm.Formula, tuple[int, int, bool]] = {}
@@ -372,16 +292,16 @@ class Elements:
         self.pair_bit: dict[tuple[fm.Formula, bool], int] = {}
         self.memo: dict[tuple, bool] = {}
         self.anchored_memo: dict[tuple, bool] = {}
-        self.reach_memo: dict[int, tuple[State, ...]] = {}
-        self.witnesses: dict[tuple[fm.Formula, int], dict[Class, Witness]] = {}
+        self.reach_memo: dict[tuple[int, int], tuple[State, ...]] = {}
+        self.witnesses: dict[tuple[fm.Formula, int], dict[State, Witness]] = {}
 
     def table(self, anchor: int, forward: bool, letters: int = -1) -> _Table:
-        """The joint-keyed witness table anchored at ``anchor``, its labels
-        projected onto ``letters`` (all of them by default)."""
+        """The witness table anchored at ``anchor``, projected onto
+        ``letters`` (all of them by default)."""
         key = (anchor, forward, letters)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = _Table(self.k, anchor, forward, True, letters)
+            table = self._tables[key] = _Table(self, anchor, forward, letters)
         return table
 
     def scope(self, f: fm.Formula) -> int:
@@ -465,18 +385,23 @@ class Elements:
         self.memo[key] = result
         return result
 
-    def initial_violation(self, f: fm.Formula) -> Track | None:
-        """The shortest track realizing the first of the initial state's
-        witnessed classes, in breadth-first order, that violates the
-        formula: a shortest violating initial track, or None.  Exact for
-        a formula of scope 0.  The table is projected onto the formula's
-        letters, which gives the full table's track (``_Table``)."""
-        a = self.k.initial
-        table = self.table(a, True, (self.masks.get(f) or self._masks(f))[0])
-        for key in table.parent:
-            joint, b = key
-            if not self.check(f, (a, b, joint, 0)):
-                return table.track(key)
+    def first_violation(self, f: fm.Formula) -> Track | None:
+        """A shortest initial track that violates the formula, the first in
+        the breadth-first order of the initial tracks' states, or None.  At
+        scope 0 the states are the initial state's witness table; above it
+        the product is walked lazily, each state checked when it is
+        dequeued.  Either walk is projected onto the formula's letters,
+        which keeps the full walk's first violation and its track
+        (``_Table``)."""
+        letters, scope, _ = self.masks.get(f) or self._masks(f)
+        if scope:
+            parent: dict[State, State | None] = {}
+            states = self.walk(self.starts(self.k.initial, True, letters), scope, parent)
+        else:
+            states = parent = self.table(self.k.initial, True, letters).parent
+        for s in states:
+            if not self.check(f, s):
+                return _unwind(s, parent)
         return None
 
     def anchored(self, child: fm.Formula, want: bool, anchor: int, forward: bool) -> bool:
@@ -488,14 +413,11 @@ class Elements:
         if cached is None:
             letters, scope, _ = self.masks.get(child) or self._masks(child)
             if not scope:
-                states = (
-                    (anchor, b, j, 0) if forward else (b, anchor, j, 0)
-                    for j, b in self.table(anchor, forward, letters).parent
-                )
+                states = self.table(anchor, forward, letters).parent
             elif forward:
-                states = self.walk(self.starts(anchor), scope, {})
+                states = self.walk(self.starts(anchor, True, letters), scope, {})
             else:
-                states = (s for s in self.reachable(scope) if s[1] == anchor)
+                states = (s for s in self.reachable(scope, letters) if s[1] == anchor)
             cached = any(self.check(child, s) == want for s in states)
             self.anchored_memo[key] = cached
         return cached
@@ -518,44 +440,62 @@ class Elements:
             # t.v, then t followed by a track from v
             for v in self.k.successors(v_fin):
                 yield (v_in, v, joint & label(v), 0)
-                for j, b in self.table(v, True, letters).parent:
+                for _, b, j, _ in self.table(v, True, letters).parent:
                     yield (v_in, b, joint & j, 0)
         elif mod is M.EBAR and not scope:
             for u in self.k.predecessors(v_in):
                 yield (u, v_fin, joint & label(u), 0)
-                for j, b in self.table(u, False, letters).parent:
+                for b, _, j, _ in self.table(u, False, letters).parent:
                     yield (b, v_fin, joint & j, 0)
         else:
             raise FragmentError(f"no <{mod.value}> step at scope {scope}")
 
-    def reachable(self, scope: int) -> tuple[State, ...]:
-        """The states of every track of the structure, masked to ``scope``."""
-        if scope not in self.reach_memo:
-            starts = [s for u in range(self.k.n_states) for s in self.starts(u)]
-            self.reach_memo[scope] = tuple(self.walk(starts, scope, {}))
-        return self.reach_memo[scope]
+    def reachable(self, scope: int, letters: int = -1) -> tuple[State, ...]:
+        """The states of every track of the structure, masked to ``scope``
+        and projected onto ``letters``."""
+        key = (scope, letters)
+        if key not in self.reach_memo:
+            starts = [s for u in range(self.k.n_states) for s in self.starts(u, True, letters)]
+            self.reach_memo[key] = tuple(self.walk(starts, scope, {}))
+        return self.reach_memo[key]
 
-    def walk(self, starts: Iterable[State], scope: int, parent: dict) -> Iterator[State]:
-        """Breadth-first walk of the product masked to ``scope``.  A state is
-        yielded before its successors are built, and ``parent`` maps it to
-        the state it was first reached from (None for a start)."""
+    def walk(
+        self, starts: Iterable[State], scope: int, parent: dict, forward: bool = True
+    ) -> Iterator[State]:
+        """Breadth-first walk of the product masked to ``scope``, extending
+        each track at the right when ``forward``, else, at scope 0 only, at
+        the left.  A state is yielded before its successors are built, and
+        ``parent`` maps it to the state it was first reached from (None for
+        a start).  The walk keeps the letters of its starts' joints."""
         queue: deque[State] = deque()
         for s in starts:
             if s not in parent:
                 parent[s] = None
                 queue.append(s)
+        labels = self.labels
+        neighbours = self.k.successors if forward else self.k.predecessors
         while queue:
             s = queue.popleft()
             yield s
-            for nxt in self.successors(s, scope):
+            v_in, v_fin, joint, bits = s
+            if scope:
+                bits = self.advance(s, scope)
+            for v in neighbours(v_fin if forward else v_in):
+                if forward:
+                    nxt = (v_in, v, joint & labels[v], bits)
+                else:
+                    nxt = (v, v_fin, joint & labels[v], bits)
                 if nxt not in parent:
                     parent[nxt] = s
                     queue.append(nxt)
 
-    def starts(self, u: int) -> list[State]:
-        """The states of the two-state tracks from ``u``."""
-        label = self.k.label_mask
-        return [(u, w, label(u) & label(w), 0) for w in self.k.successors(u)]
+    def starts(self, u: int, forward: bool = True, letters: int = -1) -> list[State]:
+        """The states of the two-state tracks from (``forward``) or into
+        ``u``, their joints projected onto ``letters``."""
+        labels = self.labels
+        if forward:
+            return [(u, w, labels[u] & labels[w] & letters, 0) for w in self.k.successors(u)]
+        return [(w, u, labels[w] & labels[u] & letters, 0) for w in self.k.predecessors(u)]
 
     def advance(self, s: State, scope: int) -> int:
         """The bits of every one-state extension: every pair of ``scope``
@@ -572,12 +512,15 @@ class Elements:
         return bits
 
     def successors(self, s: State, scope: int) -> list[State]:
+        """The states of the one-state right extensions of a track of state
+        ``s``: the step that ``walk`` inlines, taken once to start the walk
+        over a track's extensions."""
         v_in, v_fin, joint, _ = s
         bits = self.advance(s, scope)
-        label = self.k.label_mask
-        return [(v_in, v, joint & label(v), bits) for v in self.k.successors(v_fin)]
+        labels = self.labels
+        return [(v_in, v, joint & labels[v], bits) for v in self.k.successors(v_fin)]
 
-    def satisfying(self, f: fm.Formula, anchor: int) -> dict[Class, Witness]:
+    def satisfying(self, f: fm.Formula, anchor: int) -> dict[State, Witness]:
         """The classes of the tracks from ``anchor`` that satisfy the
         existential-fragment formula, each with the length of its shortest
         such track and a derivation of one for ``replay``.
@@ -593,13 +536,12 @@ class Elements:
             return found
         M = fm.Modality
         if fm.is_propositional(f):
-            table = self.table(anchor, True)
-            lengths: dict[tuple[int, int], int] = {}
+            lengths: dict[State, int] = {}
             found = {}
-            for key, parent in table.parent.items():
-                n = lengths[key] = 2 if parent is None else lengths[parent] + 1
-                if self.kernels.on_joint(f, key[0]):
-                    found[(anchor, key[1], key[0])] = (n, None)
+            for c, parent in self.table(anchor, True).parent.items():
+                n = lengths[c] = 2 if parent is None else lengths[parent] + 1
+                if self.kernels.on_joint(f, c[2]):
+                    found[c] = (n, None)
         elif isinstance(f, fm.Or):
             found = dict(self.satisfying(f.right, anchor))
             for c, witness in self.satisfying(f.left, anchor).items():
@@ -621,7 +563,7 @@ class Elements:
         else:
             # <Ai>/<E> read the child's classes at every anchor: decide
             # every anchor at once
-            below: dict[Class, Witness] = {}
+            below: dict[State, Witness] = {}
             for u in range(self.k.n_states):
                 below.update(self.satisfying(f.child, u))
             if f.mod is M.E:
@@ -642,34 +584,34 @@ class Elements:
         return found
 
     def _extend(
-        self, seeds: dict[Class, Witness], forward: bool
-    ) -> dict[Class, Witness]:
+        self, seeds: dict[State, Witness], forward: bool
+    ) -> dict[State, Witness]:
         """The classes of the tracks that extend a track of a seed class by
         one or more states, to the right when ``forward``, else to the
         left: a breadth-first walk over classes from seeds of many lengths,
         so each class is reached first by its shortest extension."""
         label = self.k.label_mask
         neighbours = self.k.successors if forward else self.k.predecessors
-        todo: dict[int, list[tuple[Class, Derivation]]] = {}
+        todo: dict[int, list[tuple[State, Derivation]]] = {}
         for c, (n, how) in seeds.items():
             todo.setdefault(n, []).append((c, how))
-        found: dict[Class, Witness] = {}
+        found: dict[State, Witness] = {}
         while todo:
             n = min(todo)
             for c, how in todo.pop(n):
-                v_in, v_fin, joint = c
+                v_in, v_fin, joint, _ = c
                 for v in neighbours(v_fin if forward else v_in):
                     if forward:
-                        nxt = (v_in, v, joint & label(v))
+                        nxt = (v_in, v, joint & label(v), 0)
                     else:
-                        nxt = (v, v_fin, joint & label(v))
+                        nxt = (v, v_fin, joint & label(v), 0)
                     if nxt not in found:
                         step = (forward, c, how)
                         found[nxt] = (n + 1, step)
                         todo.setdefault(n + 1, []).append((nxt, step))
         return found
 
-    def replay(self, c: Class, how: Derivation) -> Track:
+    def replay(self, c: State, how: Derivation) -> Track:
         """The track of class ``c`` that a derivation from ``satisfying``
         describes."""
         left: list[int] = []
@@ -681,8 +623,36 @@ class Elements:
             else:
                 left.append(c[0])
             c = previous
-        middle = self.table(c[0], True).track((c[2], c[1]))
+        middle = _unwind(c, self.table(c[0], True).parent)
         return Track((*left, *middle.states, *reversed(right)))
+
+
+def _element_walk(
+    structure: KripkeStructure, anchor: int, forward: bool
+) -> dict[tuple[int, int, int], tuple[int, int, int] | None]:
+    """The descriptor elements witnessed from (``forward``) or into the
+    anchor, as ``(v_in, v_fin, internal)`` keys in breadth-first order, each
+    mapped to the key it was first reached from: extending a track by one
+    state turns its old boundary internal.  Breadth-first order keeps every
+    realization within the 2 + |W|^2 bound.  Only the two functions below
+    read it; the session walks classes, which the internal mask splits."""
+    neighbours = structure.successors if forward else structure.predecessors
+    side = 1 if forward else 0
+
+    def key(boundary: int, internal: int) -> tuple[int, int, int]:
+        return (anchor, boundary, internal) if forward else (boundary, anchor, internal)
+
+    parent: dict = {key(w, 0): None for w in neighbours(anchor)}
+    queue = deque(parent)
+    while queue:
+        e = queue.popleft()
+        internal = e[2] | 1 << e[side]
+        for v in neighbours(e[side]):
+            nxt = key(v, internal)
+            if nxt not in parent:
+                parent[nxt] = e
+                queue.append(nxt)
+    return parent
 
 
 def witnessed_elements(
@@ -690,7 +660,10 @@ def witnessed_elements(
 ) -> frozenset[DescriptorElement]:
     """All descriptor elements realized by some track starting (ending) at
     the anchor when forward (backward)."""
-    return frozenset(map(unpack, _Table(structure, anchor, forward).elements()))
+    return frozenset(
+        DescriptorElement(v_in, internal, v_fin)
+        for v_in, v_fin, internal in _element_walk(structure, anchor, forward)
+    )
 
 
 def realize_element(
@@ -699,8 +672,13 @@ def realize_element(
     element: DescriptorElement,
     forward: bool = True,
 ) -> Track:
-    triple = (element.v_in, element.internal, element.v_fin)
-    return _Table(structure, anchor, forward).realize(triple)
+    """A track of length at most 2 + |W|^2 that starts (ends) at the anchor
+    when forward (backward) and realizes the element."""
+    parent = _element_walk(structure, anchor, forward)
+    key = (element.v_in, element.v_fin, element.internal)
+    if key not in parent:
+        raise KeyError(f"element {element} is not witnessed at this anchor")
+    return _unwind(key, parent, forward)
 
 
 def provide_counterex(
@@ -721,8 +699,7 @@ def provide_counterex(
     session = Elements(structure)
     a = structure.initial
     found = session.satisfying(fm.to_exists_dual(g), a)
-    order = session.table(a, True).parent
-    rank = {(a, b, j): i for i, (j, b) in enumerate(order)}
+    rank = {c: i for i, c in enumerate(session.table(a, True).parent)}
     c = min(found, key=lambda c: (found[c][0], rank[c]), default=None)
     if c is None:
         return None

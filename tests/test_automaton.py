@@ -16,10 +16,11 @@ from hsmc import (
     oracle_eval,
     parse_formula,
     parse_kripke,
+    witnessed_elements,
 )
 
 from hsmc import conp
-from hsmc.conp import Elements, _letters, _Table
+from hsmc.conp import Elements, _letters, element_state
 
 from corpus import random_checker_formula, random_structure, random_walk
 
@@ -125,17 +126,13 @@ def test_states_without_bits_are_the_witnessed_classes(mutex):
     # them
     session = Elements(mutex)
     classes = {
-        (e[0], e[2], e[3], 0)
+        element_state(mutex, d)
         for anchor in range(mutex.n_states)
-        for e in _Table(mutex, anchor, True).elements()
+        for d in witnessed_elements(mutex, anchor, True)
     }
     assert set(session.reachable(0)) == classes
-    # the joint-keyed walk reaches each of those classes exactly once
-    walked = [
-        (anchor, b, j, 0)
-        for anchor in range(mutex.n_states)
-        for j, b in session.table(anchor, True).parent
-    ]
+    # the witness tables reach each of those classes exactly once
+    walked = [s for anchor in range(mutex.n_states) for s in session.table(anchor, True).parent]
     assert len(walked) == len(set(walked))
     assert set(walked) == classes
 
@@ -174,13 +171,13 @@ def test_depth0_tables_are_built_through_the_module_global(monkeypatch, k2, text
     built = []
     table = conp._Table
 
-    def counting(structure, anchor, forward, by_joint=False, letters=-1):
-        built.append((anchor, forward, by_joint))
-        return table(structure, anchor, forward, by_joint, letters)
+    def counting(session, anchor, forward, letters=-1):
+        built.append((anchor, forward))
+        return table(session, anchor, forward, letters)
 
     monkeypatch.setattr(conp, "_Table", counting)
     assert not automaton.mod_check(k2, parse_formula(text)).holds
-    assert (k2.initial, True, True) in built
+    assert (k2.initial, True) in built
 
 
 def test_fragment(k2):

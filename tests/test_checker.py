@@ -16,8 +16,7 @@ from hsmc import (
     oracle_eval,
     parse_formula,
 )
-from hsmc.conp import Elements
-from hsmc.conp import pack
+from hsmc.conp import Elements, element_state
 from hsmc.errors import ResourceLimitError
 from hsmc.oracle import _chains_from, _chains_into
 
@@ -88,8 +87,7 @@ def test_inverse_clauses_relate_exactly_the_extension_elements():
     # extension, brute-forced up to the longest pair-free track; each class
     # carries the extension's own joint label mask
     def class_of(track):
-        e = pack(structure, descriptor_element(track))
-        return (e[0], e[2], e[3], 0)
+        return element_state(structure, descriptor_element(track))
 
     rng = random.Random(54)
     for _ in range(100):

@@ -71,7 +71,7 @@ def test_check_routes_out_of_scope_to_error(files):
     assert code in (0, 1)
 
 
-def test_check_verify_with_oracle(files):
+def test_check_verify_with_oracle(files, monkeypatch, capsys):
     model = files("m.txt", K2_TEXT)
     formula = files("f.txt", "[A](p -> <A>(p | q))\n")
     code, out = _run(
@@ -87,6 +87,18 @@ def test_check_verify_with_oracle(files):
          "--depth", "8"]
     )
     assert code == 1
+
+    # with --track the verdict is compared with the oracle's on the track
+    on_track = files("h.txt", "[A](p | q)\n")
+    argv = ["check", "--model", model, "--formula", on_track, "--track", "v0 v1",
+            "--verify-with-oracle"]
+    assert _run(argv) == (1, "result: violated\n")
+    oracle_eval = hsmc.oracle.oracle_eval
+    monkeypatch.setattr(
+        hsmc.oracle, "oracle_eval", lambda *args: not oracle_eval(*args)
+    )
+    assert _run(argv) == (2, "")
+    assert "engine verdict disagrees with the oracle" in capsys.readouterr().err
 
 
 def test_check_max_tau_guard(files, capsys):

@@ -35,7 +35,7 @@ from corpus import (
     random_structure,
     random_walk,
 )
-from hsmc.conp import Elements, Kernels, _letters, _Table, pack, unpack, val
+from hsmc.conp import Elements, Kernels, _letters, _Table, _unwind, element_state, val
 
 
 def _element(k, vin, inner, vfin):
@@ -139,20 +139,15 @@ def test_concat_descr_matches_track_concatenation():
         checked += 1
 
 
-def _element_class(k, d):
-    e = pack(k, d)
-    return (e[0], e[2], e[3])
-
-
 def _class(k, track):
-    return _element_class(k, descriptor_element(track))
+    return element_state(k, descriptor_element(track))
 
 
 def _satisfied(k, text, d):
     # whether some track of the descriptor element's class from its first
     # state satisfies the existential formula, by the session's class search
     f = normalize(parse_formula(text))
-    return _element_class(k, d) in Elements(k).satisfying(f, d.v_in)
+    return element_state(k, d) in Elements(k).satisfying(f, d.v_in)
 
 
 def test_check_exists_basics(k2, mutex):
@@ -170,7 +165,7 @@ def test_check_exists_agrees_with_oracle(k2):
     for text in texts:
         f = normalize(parse_formula(text))
         for element in witnessed_elements(k2, 0, True):
-            c = _element_class(k2, element)
+            c = element_state(k2, element)
             want = any(
                 oracle_eval(k2, t, f, config)
                 for t in all_tracks(k2, 0, 8)
@@ -183,7 +178,7 @@ def test_exists_witness_properties(mutex):
     f = normalize(parse_formula("<E>(e0 & e1)"))
     d = _element(mutex, "w0", ("w1", "w3", "w8"), "w9")
     session = Elements(mutex)
-    c = _element_class(mutex, d)
+    c = element_state(mutex, d)
     length, how = session.satisfying(f, c[0])[c]
     witness = mutex.track(session.replay(c, how).states)  # edges checked
     assert _class(mutex, witness) == c and len(witness) == length
@@ -293,17 +288,17 @@ def test_compiled_kernels_agree_with_oracle_on_every_witnessed_element(
     props = [*structure.propositions, "zz"]
     rng = random.Random(65)
     tracks = {
-        d: table.realize(d)
-        for table in (_Table(structure, a, True) for a in range(structure.n_states))
-        for d in table.elements()
+        d: realize_element(structure, a, d)
+        for a in range(structure.n_states)
+        for d in witnessed_elements(structure, a)
     }
     session = Kernels(structure)
     for _ in range(count):
         f = random_checker_formula(rng, props, max_modalities=0)
         for d, track in tracks.items():
             want = oracle_eval(structure, track, f)
-            assert session.on_joint(f, d[3]) == want, (to_text(f), d)
-            assert val(f, unpack(d), structure) == want
+            assert session.on_joint(f, element_state(structure, d)[2]) == want, (to_text(f), d)
+            assert val(f, d, structure) == want
 
 
 def test_kernel_raises_on_modalities_after_a_deciding_letter(k2):
@@ -319,40 +314,47 @@ def test_element_check_sends_a_propositional_and_to_the_kernel_whole(mutex):
     on_joint = session.kernels.on_joint
     session.kernels.on_joint = lambda f, j: sent.append(f) or on_joint(f, j)
     f = normalize(parse_formula("r0 & (r1 | !e0) & !(x0 & e1)"))
-    d = pack(mutex, _element(mutex, "w1", ("w3",), "w4"))
-    track = _Table(mutex, d[0], True).realize(d)
-    assert session.check(f, (d[0], d[2], d[3], 0)) == oracle_eval(mutex, track, f)
+    d = _element(mutex, "w1", ("w3",), "w4")
+    track = realize_element(mutex, d.v_in, d)
+    assert session.check(f, element_state(mutex, d)) == oracle_eval(mutex, track, f)
     assert sent == [f]
 
 
-def _joint(k, element):
-    v_in, internal, v_fin = element[:3]
-    return k.joint_label_mask(internal) & k.label_mask(v_in) & k.label_mask(v_fin)
+def _joint(k, states):
+    joint = -1
+    for v in states:
+        joint &= k.label_mask(v)
+    return joint
 
 
 def test_packed_elements_carry_their_joint_label_mask():
-    # the table walk and the inverse clauses' extensions each build the
-    # joint from pieces; every table element's joint must be the AND of
-    # the labels of all of its states, and every class the inverse clauses
-    # yield must be the class of a witnessed track.  That the classes are
-    # exactly those of the extensions is checked in test_checker.py
+    # element_state, the table walk and the inverse clauses' extensions
+    # each build the joint from pieces; every witnessed element's and every
+    # table state's joint must be the AND of the labels of all of its
+    # track's states, and every class the inverse clauses yield must be the
+    # class of a witnessed track.  That the classes are exactly those of
+    # the extensions is checked in test_checker.py
     rng = random.Random(66)
     for _ in range(40):
         k = random_structure(rng, max_states=4, max_props=3)
         elements = Elements(k)
-        packed = []
+        states = []
         witnessed = {}
         for anchor in range(k.n_states):
             for forward in (True, False):
-                for e in _Table(k, anchor, forward).elements():
-                    assert e[3] == _joint(k, e), e
-                    packed.append(e)
-                    witnessed.setdefault(forward, set()).add((e[0], e[2], e[3]))
-        sample = rng.sample(packed, min(8, len(packed)))
-        for e in sample:
+                for d in witnessed_elements(k, anchor, forward):
+                    inner = [v for v in range(k.n_states) if d.internal >> v & 1]
+                    assert element_state(k, d)[2] == _joint(k, [d.v_in, *inner, d.v_fin]), d
+                parent = elements.table(anchor, forward).parent
+                for s in parent:
+                    assert s[2] == _joint(k, _unwind(s, parent, forward).states), s
+                    states.append(s)
+                    witnessed.setdefault(forward, set()).add(s)
+        sample = rng.sample(states, min(8, len(states)))
+        for s in sample:
             for mod, forward in ((fm.Modality.BBAR, True), (fm.Modality.EBAR, False)):
-                for r in elements.related(mod, (e[0], e[2], e[3], 0)):
-                    assert r[:3] in witnessed[forward] and not r[3], (mod, e, r)
+                for r in elements.related(mod, s):
+                    assert r in witnessed[forward], (mod, s, r)
 
 
 def test_elements_of_one_class_agree_on_started_by_free_formulas():
@@ -371,9 +373,8 @@ def test_elements_of_one_class_agree_on_started_by_free_formulas():
         elements = Elements(k)
         by_class = {}
         for anchor in range(k.n_states):
-            table = _Table(k, anchor, True)
-            for e in table.elements():
-                by_class.setdefault((e[0], e[2], e[3], 0), []).append(table.realize(e))
+            for d in witnessed_elements(k, anchor):
+                by_class.setdefault(element_state(k, d), []).append(realize_element(k, anchor, d))
         groups = {c: tracks for c, tracks in by_class.items() if len(tracks) > 1}
         shared += len(groups)
         for _ in range(4):
@@ -409,8 +410,8 @@ def test_element_memo_entries_are_masked_to_letters(mutex, sched):
         g = normalize(parse_formula(text))
         session = Elements(structure)
         for anchor in range(structure.n_states):
-            for j, b in session.table(anchor, True).parent:
-                session.check(g, (anchor, b, j, 0))
+            for s in session.table(anchor, True).parent:
+                session.check(g, s)
         assert session.masks[g][0] == sum(map(structure.prop_mask, read))
         assert session.memo
         for f, c in session.memo:
@@ -418,24 +419,27 @@ def test_element_memo_entries_are_masked_to_letters(mutex, sched):
 
 
 class _FullTables(Elements):
-    """A session whose consumers read the all-letter tables."""
+    """A session whose walks ignore the letters they are projected onto."""
 
-    def table(self, anchor, forward, letters=-1):
-        return super().table(anchor, forward)
+    def starts(self, u, forward=True, letters=-1):
+        return super().starts(u, forward)
 
 
 def test_projected_tables_are_the_projections_of_the_full_table():
-    # a consumer reads the table projected onto the letters of the formula
-    # it evaluates.  Its classes must be the projections of the full
-    # table's, in breadth-first order, each realized by the track of the
-    # first full class that projects to it; so a consumer's verdicts and
-    # the initial violation's track are those of the full tables.  A letter
+    # every walk is projected at its starts onto the letters of the formula
+    # it serves.  A projected table's classes must be the projections of
+    # the full table's, in breadth-first order, each realized by the track
+    # of the first full class that projects to it; so a consumer's verdicts
+    # and the first violation's track are those of the full walks, on the
+    # tables and, for formulas with started-by, on the product.  A letter
     # of the initial state is or-ed onto each random formula, so that short
     # tracks tend to satisfy it
     rng = random.Random(75)
-    projected = longer = 0
+    paired_rng = random.Random(76)
+    projected = longer = paired = paired_violated = paired_projected = 0
     for _ in range(150):
         k = random_structure(rng, max_states=5, max_props=3)
+        full_letters = sum(map(k.prop_mask, k.propositions))
         props = [*k.propositions, "zz"]
         mine = [fm.Prop(p) for p in sorted(k.label_set(k.initial))] or [fm.BOTTOM]
         formulas = [
@@ -450,35 +454,50 @@ def test_projected_tables_are_the_projections_of_the_full_table():
         session = Elements(k)
         for g in formulas:
             reference = _FullTables(k)
-            expected = reference.initial_violation(g)
-            assert session.initial_violation(g) == expected, to_text(g)
+            expected = reference.first_violation(g)
+            assert session.first_violation(g) == expected, to_text(g)
             longer += expected is not None and len(expected) > 2
             for c in reference.reachable(0):
                 assert session.check(g, c) == reference.check(g, c), (to_text(g), c)
+        for _ in range(4):
+            g = normalize(
+                fm.Or(
+                    paired_rng.choice(mine),
+                    random_checker_formula(paired_rng, props, max_modalities=4, max_nest=2),
+                )
+            )
+            if not automaton.in_fragment(g) or not session.scope(g):
+                continue
+            expected = _FullTables(k).first_violation(g)
+            assert session.first_violation(g) == expected, to_text(g)
+            paired += 1
+            paired_violated += expected is not None
+            paired_projected += session.masks[g][0] & full_letters != full_letters
         masks = {letters for letters, _, _ in session.masks.values()}
         for anchor in range(k.n_states):
             for forward in (True, False):
-                full = _Table(k, anchor, forward, True)
+                full = _Table(session, anchor, forward)
                 for letters in masks:
                     first = {}
-                    for j, b in full.parent:
-                        first.setdefault((j & letters, b), (j, b))
-                    table = _Table(k, anchor, forward, True, letters)
+                    for s in full.parent:
+                        first.setdefault((s[0], s[1], s[2] & letters, 0), s)
+                    table = _Table(session, anchor, forward, letters)
                     assert list(table.parent) == list(first), letters
-                    for key, origin in first.items():
-                        assert table.track(key) == full.track(origin), (key, origin)
+                    for s, origin in first.items():
+                        track = _unwind(s, table.parent, forward)
+                        assert track == _unwind(origin, full.parent, forward), (s, origin)
                     projected += len(first) < len(full.parent)
     assert projected >= 200  # projections that merge full classes are exercised
     assert longer >= 15  # violations longer than two states are exercised
+    # product walks with started-by pairs, violated and not, are exercised,
+    # many of them projected onto fewer letters than the structure has
+    assert paired_projected >= 40, paired_projected
+    assert 20 <= paired_violated <= paired - 20, (paired, paired_violated)
 
 
 def test_element_check_agrees_with_oracle_on_every_witnessed_class():
-    # the joint-keyed walk realizes each class it reaches by a track of
-    # that class, and Elements.check gives the oracle's verdict on it
-    def class_of(track):
-        e = pack(k, descriptor_element(track))
-        return (e[0], e[2], e[3], 0)
-
+    # the witness tables realize each class they reach by a track of that
+    # class, and Elements.check gives the oracle's verdict on it
     rng = random.Random(74)
     tested = 0
     while tested < 60:
@@ -492,13 +511,11 @@ def test_element_check_agrees_with_oracle_on_every_witnessed_class():
         tracks = {}
         for anchor in range(k.n_states):
             for forward in (True, False):
-                table = elements.table(anchor, forward)
-                for key in table.parent:
-                    track = table.track(key)
-                    c = class_of(track)
-                    j, b = key
-                    want = (anchor, b, j, 0) if forward else (b, anchor, j, 0)
-                    assert c == want, (track, key)
+                parent = elements.table(anchor, forward).parent
+                for c in parent:
+                    track = k.track(_unwind(c, parent, forward).states)  # edges checked
+                    assert (track.fst if forward else track.lst) == anchor, (track, c)
+                    assert element_state(k, descriptor_element(track)) == c, (track, c)
                     tracks[c] = track
         for _ in range(6):
             g = normalize(random_checker_formula(rng, [*k.propositions, "zz"], max_nest=0))
@@ -510,23 +527,25 @@ def test_element_check_agrees_with_oracle_on_every_witnessed_class():
 
 
 def test_packed_table_elements_are_the_packed_brute_force_elements():
-    # unpacking a table's elements gives exactly the witnessed triples, and
-    # packing the element of every bounded track gives the table's elements
+    # the witnessed elements are exactly those of the bounded tracks, each
+    # realized by a track of its own, and the witness table's states are
+    # exactly the states of those tracks
     rng = random.Random(67)
     for _ in range(15):
         k = random_structure(rng, max_states=3, max_props=3)
+        session = Elements(k)
         bound = 2 + k.n_states**2
         tracks = [t for s in range(k.n_states) for t in all_tracks(k, s, bound)]
         for anchor in range(k.n_states):
             for forward in (True, False):
-                table = _Table(k, anchor, forward)
-                got = table.elements()
-                assert list(got) == sorted(set(got), key=lambda e: (e[1], e[0], e[2]))
-                assert frozenset(map(unpack, got)) == witnessed_elements(k, anchor, forward)
+                got = witnessed_elements(k, anchor, forward)
                 ends = [t for t in tracks if (t.fst if forward else t.lst) == anchor]
-                assert set(got) == {pack(k, descriptor_element(t)) for t in ends}
-                for e in got:
-                    assert descriptor_element(table.realize(e)) == unpack(e)
+                assert got == {descriptor_element(t) for t in ends}
+                states = set(session.table(anchor, forward).parent)
+                assert states == {element_state(k, descriptor_element(t)) for t in ends}
+                assert states == {element_state(k, d) for d in got}
+                for d in got:
+                    assert descriptor_element(realize_element(k, anchor, d, forward)) == d
 
 
 def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
@@ -538,26 +557,32 @@ def test_meets_over_a_propositional_child_reads_each_distinct_joint_once():
         k = random_structure(rng, max_states=4, max_props=3)
         props = [*k.propositions, "zz"]
         elements = Elements(k)
-        starts = [e for a in range(k.n_states) for e in _Table(k, a, True).elements()]
+        starts = [element_state(k, d) for a in range(k.n_states) for d in witnessed_elements(k, a)]
+        realized = {
+            (anchor, forward): {
+                d: realize_element(k, anchor, d, forward)
+                for d in witnessed_elements(k, anchor, forward)
+            }
+            for anchor in range(k.n_states)
+            for forward in (True, False)
+        }
         for _ in range(4):
             f = normalize(random_checker_formula(rng, props, max_modalities=0))
             for anchor in range(k.n_states):
                 for forward, mod in ((True, fm.Modality.A), (False, fm.Modality.ABAR)):
-                    table = _Table(k, anchor, forward)
-                    truths = {oracle_eval(k, table.realize(e), f) for e in table.elements()}
+                    tracks = realized[(anchor, forward)]
+                    truths = {oracle_eval(k, t, f) for t in tracks.values()}
                     for want in (True, False):
                         per_element = any(
-                            elements.check(f, (e[0], e[2], e[3], 0)) == want
-                            for e in table.elements()
+                            elements.check(f, element_state(k, d)) == want for d in tracks
                         )
                         assert per_element == (want in truths)
                         got = elements.anchored(f, want, anchor, forward)
                         assert got == per_element, (to_text(f), anchor, forward, want)
-                    for d in starts:
-                        if d[2 if forward else 0] == anchor:
-                            witnessed = elements.satisfying(fm.Diamond(mod, f), d[0])
-                            found = (d[0], d[2], d[3]) in witnessed
-                            assert found == (True in truths), (to_text(f), d)
+                    for c in starts:
+                        if c[1 if forward else 0] == anchor:
+                            witnessed = elements.satisfying(fm.Diamond(mod, f), c[0])
+                            assert (c in witnessed) == (True in truths), (to_text(f), c)
 
 
 def test_public_api_speaks_descriptor_elements(k2):
