@@ -635,7 +635,12 @@ def _element_walk(
     mapped to the key it was first reached from: extending a track by one
     state turns its old boundary internal.  Breadth-first order keeps every
     realization within the 2 + |W|^2 bound.  Only the two functions below
-    read it; the session walks classes, which the internal mask splits."""
+    read it; the session walks classes, which the internal mask splits.
+    Each walk is kept on the structure, so it is built once per anchor and
+    direction and outlives nothing."""
+    walks = structure.__dict__.setdefault("_element_walks", {})
+    if (anchor, forward) in walks:
+        return walks[anchor, forward]
     neighbours = structure.successors if forward else structure.predecessors
     side = 1 if forward else 0
 
@@ -652,6 +657,7 @@ def _element_walk(
             if nxt not in parent:
                 parent[nxt] = e
                 queue.append(nxt)
+    walks[anchor, forward] = parent
     return parent
 
 

@@ -543,8 +543,18 @@ def desugar(f: Formula) -> Formula:
 
 
 def normalize(f: Formula) -> Formula:
-    """expand followed by desugar: the form every engine works on."""
-    return desugar(expand(f))
+    """expand followed by desugar: the form every engine works on.  The
+    result is kept on the input node, as ``modalities`` keeps its set, and
+    the result is marked ``True`` rather than pointing at itself, so that
+    normalizing either again returns at once and no reference cycle forms."""
+    done = f.__dict__.get("_normal")
+    if done is not None:
+        return f if done is True else done
+    g = desugar(expand(f))
+    object.__setattr__(g, "_normal", True)
+    if g is not f:
+        object.__setattr__(f, "_normal", g)
+    return g
 
 
 # ---------------------------------------------------------------------------

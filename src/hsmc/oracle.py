@@ -1,12 +1,16 @@
 """Brute-force semantics, used as the referee for the optimized engines.
 
-Evaluation follows the satisfaction clauses literally: existential
-modalities enumerate candidate witness tracks (or extensions) up to a
-configurable depth bound.  On meets/met-by/started-by fragment input the
-result is exact once the bound reaches the representative length bound;
-below that the result is sound only up to the bound and a warning is
-emitted.  This module deliberately shares nothing with the descriptor or
-unravelling machinery.
+Evaluation follows the satisfaction clauses of HS literally: an existential
+modality enumerates the related tracks up to a configurable depth bound.
+Each call compiles the normalized formula once into one evaluator per
+subformula; a modal one memoizes per track for started-by, finishes and
+their inverses, and per endpoint state for meets and met-by.  As started-by
+and finishes are transitive, ``<B>f`` (``<E>f``) holds on a track iff ``f``
+or ``<B>f`` (``<E>f``) holds on its longest proper prefix (suffix).
+On meets/met-by/started-by fragment input the result is exact once the bound
+reaches the representative length bound; below it the result is sound only
+up to the bound and a warning is emitted.  This module deliberately shares
+nothing with the descriptor or unravelling machinery.
 """
 
 from __future__ import annotations
@@ -88,103 +92,103 @@ def _chains_into(
 
 
 class _Oracle:
+    """One call's evaluators, one per distinct subformula.  Each holds its
+    children and memo, never itself or the oracle: no reference cycle."""
+
     def __init__(self, structure: KripkeStructure, config: OracleConfig):
         self.k = structure
         self.depth = config.depth_bound
-        self.prop_masks = {p: structure.prop_mask(p) for p in structure.propositions}
-        self.track_memo: dict[tuple[tuple[int, ...], fm.Formula], bool] = {}
-        self.from_memo: dict[tuple[int, fm.Formula, bool], bool] = {}
-        self.into_memo: dict[tuple[int, fm.Formula, bool], bool] = {}
+        self.compiled: dict[fm.Formula, Callable] = {}
 
     def eval(self, states: tuple[int, ...], f: fm.Formula) -> bool:
-        key = (states, f)
-        cached = self.track_memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._eval(states, f)
-        self.track_memo[key] = result
-        return result
+        return self.compile(f)(states)
 
-    def _eval(self, states: tuple[int, ...], f: fm.Formula) -> bool:
-        if isinstance(f, fm.Top):
-            return True
-        if isinstance(f, fm.Bottom):
-            return False
-        if isinstance(f, fm.Prop):
-            mask = self.prop_masks.get(f.name)
-            if mask is None:
-                return False  # letters outside the alphabet hold nowhere
-            return all(self.k.label_mask(s) & mask for s in states)
-        if isinstance(f, fm.Not):
-            return not self.eval(states, f.child)
-        if isinstance(f, fm.And):
-            return self.eval(states, f.left) and self.eval(states, f.right)
-        if isinstance(f, fm.Or):
-            return self.eval(states, f.left) or self.eval(states, f.right)
-        if isinstance(f, fm.Diamond):
-            return self._modal(states, f.mod, f.child, want=True)
-        if isinstance(f, fm.Box):
-            return not self._modal(states, f.mod, f.child, want=False)
+    def compile(self, f: fm.Formula) -> Callable[[tuple[int, ...]], bool]:
+        ev = self.compiled.get(f)
+        if ev is not None:
+            return ev
+        if isinstance(f, (fm.Top, fm.Bottom)):
+            value = isinstance(f, fm.Top)
+            ev = lambda states: value
+        elif isinstance(f, fm.Prop):
+            # letters outside the alphabet hold nowhere
+            mask = self.k.prop_mask(f.name) if f.name in self.k.propositions else 0
+            ev = frozenset(
+                s for s in range(self.k.n_states) if self.k.label_mask(s) & mask
+            ).issuperset
+        elif isinstance(f, fm.Not):
+            child = self.compile(f.child)
+            ev = lambda states: not child(states)
+        elif isinstance(f, fm.And):
+            left, right = self.compile(f.left), self.compile(f.right)
+            ev = lambda states: left(states) and right(states)
+        elif isinstance(f, fm.Or):
+            left, right = self.compile(f.left), self.compile(f.right)
+            ev = lambda states: left(states) or right(states)
+        elif isinstance(f, (fm.Diamond, fm.Box)):
+            want = isinstance(f, fm.Diamond)
+            exists = _exists(self.k, self.depth, f.mod, self.compile(f.child), want)
+            ev = exists if want else lambda states: not exists(states)
+        else:
+            raise FragmentError("the oracle needs a normalized formula")
+        self.compiled[f] = ev
+        return ev
+
+
+def _exists(
+    k: KripkeStructure, depth: int, mod: fm.Modality, child: Callable, want: bool
+) -> Callable[[tuple[int, ...]], bool]:
+    """Whether some track related to the given one by ``mod`` evaluates
+    ``child`` to ``want``, memoized per endpoint state for meets and met-by
+    and per track otherwise."""
+    M = fm.Modality
+    memo: dict = {}
+    if mod is M.B or mod is M.E:
+        cut = slice(None, -1) if mod is M.B else slice(1, None)
+
+        def transitive(states: tuple[int, ...]) -> bool:
+            # walk down the prefix (suffix) chain to a memo hit, then fill in
+            passed = []
+            found = memo.get(states)
+            while found is None:
+                passed.append(states)
+                states = states[cut]
+                found = len(states) > 1 and (child(states) == want or memo.get(states))
+            for t in passed:
+                memo[t] = found
+            return found
+
+        return transitive
+    if mod is M.A:
+        related = lambda s: (t.states for t in all_tracks(k, s[-1], depth))
+    elif mod is M.ABAR:
+        related = lambda s: (t.states for t in _tracks_into(k, s[0], depth))
+    elif mod is M.BBAR:
+        related = lambda s: (s + ext for ext in _chains_from(k, s[-1], depth - 1))
+    elif mod is M.EBAR:
+        related = lambda s: (ext + s for ext in _chains_into(k, s[0], depth - 1))
+    else:
         raise FragmentError("the oracle needs a normalized formula")
+    at = {M.A: -1, M.ABAR: 0}.get(mod)
 
-    def _modal(
-        self, states: tuple[int, ...], mod: fm.Modality, child: fm.Formula, want: bool
-    ) -> bool:
-        """Whether some related track evaluates ``child`` to ``want``."""
-        M = fm.Modality
-        if mod is M.A:
-            return self._exists_from(states[-1], child, want)
-        if mod is M.ABAR:
-            return self._exists_into(states[0], child, want)
-        if mod is M.B:
-            return any(
-                self.eval(states[:i], child) == want for i in range(2, len(states))
-            )
-        if mod is M.E:
-            return any(
-                self.eval(states[i:], child) == want
-                for i in range(1, len(states) - 1)
-            )
-        if mod is M.BBAR:
-            return any(
-                self.eval(states + ext, child) == want
-                for ext in _chains_from(self.k, states[-1], self.depth - 1)
-            )
-        if mod is M.EBAR:
-            return any(
-                self.eval(ext + states, child) == want
-                for ext in _chains_into(self.k, states[0], self.depth - 1)
-            )
-        raise FragmentError("the oracle needs a normalized formula")
+    def enumerated(states: tuple[int, ...]) -> bool:
+        key = states if at is None else states[at]
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = any(child(t) == want for t in related(states))
+        return found
 
-    def _exists_from(self, state: int, child: fm.Formula, want: bool) -> bool:
-        key = (state, child, want)
-        cached = self.from_memo.get(key)
-        if cached is None:
-            cached = any(
-                self.eval(t.states, child) == want
-                for t in all_tracks(self.k, state, self.depth)
-            )
-            self.from_memo[key] = cached
-        return cached
-
-    def _exists_into(self, state: int, child: fm.Formula, want: bool) -> bool:
-        key = (state, child, want)
-        cached = self.into_memo.get(key)
-        if cached is None:
-            cached = any(
-                self.eval(t.states, child) == want
-                for t in _tracks_into(self.k, state, self.depth)
-            )
-            self.into_memo[key] = cached
-        return cached
+    return enumerated
 
 
-def _warn_if_bound_insufficient(
+def _compile(
     structure: KripkeStructure, f: fm.Formula, config: OracleConfig
-) -> None:
-    if fm.modalities(f) <= fm.REPRESENTATIVE_MODALITIES:
-        needed = tau(structure.n_states, fm.nest_b(f))
+) -> Callable[[tuple[int, ...]], bool]:
+    """One call's evaluator of ``f``, after warning when the depth bound is
+    below the exactness threshold of a fragment formula."""
+    g = fm.normalize(f)
+    if fm.modalities(g) <= fm.REPRESENTATIVE_MODALITIES:
+        needed = tau(structure.n_states, fm.nest_b(g))
         if config.depth_bound < needed:
             warnings.warn(
                 f"depth bound {config.depth_bound} is below the exactness "
@@ -192,6 +196,7 @@ def _warn_if_bound_insufficient(
                 BoundWarning,
                 stacklevel=3,
             )
+    return _Oracle(structure, config).compile(g)
 
 
 def oracle_eval(
@@ -200,12 +205,9 @@ def oracle_eval(
     f: fm.Formula,
     config: OracleConfig | None = None,
 ) -> bool:
-    """Evaluate a formula on a track by literal recursive enumeration."""
+    """Evaluate a formula on a track by literal enumeration."""
     structure.track(track.states)
-    config = config or OracleConfig()
-    g = fm.normalize(f)
-    _warn_if_bound_insufficient(structure, g, config)
-    return _Oracle(structure, config).eval(track.states, g)
+    return _compile(structure, f, config or OracleConfig())(track.states)
 
 
 def oracle_mod_check(
@@ -214,11 +216,9 @@ def oracle_mod_check(
     """Structure-level check: the conjunction over all initial tracks up to
     the depth bound."""
     config = config or OracleConfig()
-    g = fm.normalize(f)
-    _warn_if_bound_insufficient(structure, g, config)
-    oracle = _Oracle(structure, config)
+    holds = _compile(structure, f, config)
     return all(
-        oracle.eval(t.states, g)
+        holds(t.states)
         for t in all_tracks(structure, structure.initial, config.depth_bound)
     )
 
@@ -229,10 +229,8 @@ def oracle_find_counterexample(
     """First initial track (in enumeration order) falsifying the formula,
     or None when the bounded check holds."""
     config = config or OracleConfig()
-    g = fm.normalize(f)
-    _warn_if_bound_insufficient(structure, g, config)
-    oracle = _Oracle(structure, config)
+    holds = _compile(structure, f, config)
     for t in all_tracks(structure, structure.initial, config.depth_bound):
-        if not oracle.eval(t.states, g):
+        if not holds(t.states):
             return t
     return None

@@ -3,7 +3,8 @@ shared by the property and acceptance suites.
 
 Everything here stays deliberately naive: truth of a QBF by assignment
 recursion, CNF satisfiability by assignment enumeration, track generation by
-random walk.  The point is to referee the clever code paths, not to be fast.
+random walk, HS semantics by the satisfaction clauses read on state tuples.
+The point is to referee the clever code paths, not to be fast.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 
 import hsmc.formula as fm
 from hsmc import CnfFormula, KripkeStructure, Qbf, Track
+from hsmc.oracle import _chains_from, _chains_into, _tracks_into, all_tracks
 from hsmc.unravel import Direction, unravel
 
 
@@ -49,8 +51,10 @@ def random_checker_formula(
     props: list[str],
     max_modalities: int = 3,
     max_nest: int = 2,
+    mods: list[fm.Modality] = _CHECKER_MODS,
 ) -> fm.Formula:
-    """Random formula over meets/met-by/started-by and the two inverses."""
+    """Random formula over ``mods``, by default meets/met-by/started-by and
+    the two inverses; ``max_nest`` bounds the nesting of started-by."""
     budget = [rng.randint(0, max_modalities)]
 
     def go(depth: int, nest_left: int) -> fm.Formula:
@@ -73,7 +77,7 @@ def random_checker_formula(
             return fm.And(go(depth - 1, nest_left), go(depth - 1, nest_left))
         if kind == "or":
             return fm.Or(go(depth - 1, nest_left), go(depth - 1, nest_left))
-        usable = [m for m in _CHECKER_MODS if m != fm.Modality.B or nest_left > 0]
+        usable = [m for m in mods if m != fm.Modality.B or nest_left > 0]
         mod = rng.choice(usable)
         budget[0] -= 1
         child = go(depth - 1, nest_left - (1 if mod is fm.Modality.B else 0))
@@ -118,6 +122,69 @@ def random_forall_formula(
         return kernel(rng.randint(0, 2))
 
     return go(rng.randint(1, max_boxes))
+
+
+class LiteralOracle:
+    """The HS satisfaction clauses read literally on state tuples, with one
+    memo keyed by (track, subformula): the referee of ``hsmc.oracle``, whose
+    enumerators it shares (``test_oracle`` referees those separately)."""
+
+    def __init__(self, structure: KripkeStructure, depth_bound: int):
+        self.k = structure
+        self.depth = depth_bound
+        self.memo: dict[tuple[tuple[int, ...], fm.Formula], bool] = {}
+
+    def eval(self, states: tuple[int, ...], f: fm.Formula) -> bool:
+        key = (states, f)
+        if key not in self.memo:
+            self.memo[key] = self._eval(states, f)
+        return self.memo[key]
+
+    def _eval(self, states: tuple[int, ...], f: fm.Formula) -> bool:
+        if isinstance(f, fm.Top):
+            return True
+        if isinstance(f, fm.Bottom):
+            return False
+        if isinstance(f, fm.Prop):
+            if f.name not in self.k.propositions:
+                return False
+            mask = self.k.prop_mask(f.name)
+            return all(self.k.label_mask(s) & mask for s in states)
+        if isinstance(f, fm.Not):
+            return not self.eval(states, f.child)
+        if isinstance(f, fm.And):
+            return self.eval(states, f.left) and self.eval(states, f.right)
+        if isinstance(f, fm.Or):
+            return self.eval(states, f.left) or self.eval(states, f.right)
+        if isinstance(f, fm.Diamond):
+            return any(self.eval(t, f.child) for t in self._related(states, f.mod))
+        if isinstance(f, fm.Box):
+            return all(self.eval(t, f.child) for t in self._related(states, f.mod))
+        raise TypeError(f"not a normalized formula: {f!r}")
+
+    def _related(self, states: tuple[int, ...], mod: fm.Modality):
+        M, k, depth = fm.Modality, self.k, self.depth
+        if mod is M.A:
+            return (t.states for t in all_tracks(k, states[-1], depth))
+        if mod is M.ABAR:
+            return (t.states for t in _tracks_into(k, states[0], depth))
+        if mod is M.B:
+            return (states[:i] for i in range(2, len(states)))
+        if mod is M.E:
+            return (states[i:] for i in range(1, len(states) - 1))
+        if mod is M.BBAR:
+            return (states + ext for ext in _chains_from(k, states[-1], depth - 1))
+        if mod is M.EBAR:
+            return (ext + states for ext in _chains_into(k, states[0], depth - 1))
+        raise TypeError(f"not a primitive modality: {mod!r}")
+
+    def first_violation(self, f: fm.Formula) -> Track | None:
+        """The first initial track, in enumeration order, falsifying ``f``."""
+        g = fm.normalize(f)
+        for t in all_tracks(self.k, self.k.initial, self.depth):
+            if not self.eval(t.states, g):
+                return t
+        return None
 
 
 def random_walk(rng: random.Random, structure: KripkeStructure, length: int) -> Track:

@@ -115,6 +115,21 @@ def test_realizations_are_short_and_faithful():
                         assert k.has_edge(a, b)
 
 
+def test_realizations_reuse_the_walk_that_listed_them(monkeypatch):
+    # realizing every element of an anchor would be quadratic if each call
+    # walked the anchor's elements again
+    k = random_structure(random.Random(64), max_states=4, edge_prob=0.6)
+    steps = []
+    successors = k.successors
+    monkeypatch.setattr(k, "successors", lambda u: steps.append(u) or successors(u))
+    for anchor in range(k.n_states):
+        elements = witnessed_elements(k, anchor)
+        walked = len(steps)
+        assert walked and all(realize_element(k, anchor, d) for d in elements)
+        assert len(steps) == walked
+        steps.clear()
+
+
 def test_concat_descr():
     d1 = DescriptorElement(0, 0, 1)
     d2 = DescriptorElement(2, 0, 3)

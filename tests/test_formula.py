@@ -140,10 +140,13 @@ def test_desugar_arrows():
 
 
 def test_desugar_idempotent_normalize_idempotent():
-    for text in ("<L>p & [Di]q", "p -> (q <-> r)", "<O>^2 p | <B>T"):
-        g = normalize(parse_formula(text))
+    for text in ("<L>p & [Di]q", "p -> (q <-> r)", "<O>^2 p | <B>T", "p"):
+        f = parse_formula(text)
+        g = normalize(f)
         assert desugar(g) == g
         assert expand(g) == g
+        # kept on the nodes: normalizing either again rebuilds nothing
+        assert normalize(f) is g and normalize(g) is g
 
 
 def test_nest_b():

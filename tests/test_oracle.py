@@ -1,18 +1,30 @@
+import gc
 import itertools
 import random
+import types
+import weakref
 
 import pytest
 
-from hsmc import OracleConfig, oracle_eval, oracle_mod_check, parse_formula
+import hsmc.formula as fm
+from hsmc import (
+    KripkeStructure,
+    OracleConfig,
+    Track,
+    oracle_eval,
+    oracle_mod_check,
+    parse_formula,
+)
 from hsmc.oracle import (
     _chains_from,
     _chains_into,
+    _Oracle,
     _tracks_into,
     all_tracks,
     oracle_find_counterexample,
 )
 
-from corpus import random_structure, random_walk
+from corpus import LiteralOracle, random_checker_formula, random_structure, random_walk
 
 
 def test_k2_met_by_verdicts(k2):
@@ -64,6 +76,57 @@ def test_walkers_match_brute_force():
                 assert list(_chains_into(k, anchor, bound)) == (
                     _brute_force_walks(k, anchor, bound, True, False)
                 )
+
+
+def test_oracle_matches_the_literal_clauses():
+    # verdict, first violating track and per-track value over all six
+    # modalities, against the clauses read literally on state tuples
+    rng = random.Random(35)
+    mods = sorted(fm.BASIC_MODALITIES, key=lambda m: m.value)
+    seen, checked = set(), 0
+    while checked < 2000:
+        k = random_structure(rng, max_states=3)
+        f = random_checker_formula(rng, [*k.propositions, "zz"], 5, 3, mods)
+        if fm.is_propositional(fm.normalize(f)):
+            continue
+        checked += 1
+        depth = rng.randint(2, 5)
+        config, literal = OracleConfig(depth), LiteralOracle(k, depth)
+        violation = literal.first_violation(f)
+        assert oracle_find_counterexample(k, f, config) == violation, fm.to_text(f)
+        assert oracle_mod_check(k, f, config) == (violation is None)
+        track = random_walk(rng, k, rng.randint(2, 6))
+        want = literal.eval(track.states, fm.normalize(f))
+        assert oracle_eval(k, track, f, config) == want, (fm.to_text(f), track)
+        seen |= fm.modalities(fm.normalize(f))
+    assert seen == fm.BASIC_MODALITIES
+
+
+def test_long_tracks_need_no_recursion_per_state():
+    # started-by and finishes walk a 2,000-state track's prefixes and
+    # suffixes in a loop, not one call deep per state
+    k = KripkeStructure(["s0"], [("s0", "s0")], "s0", {"s0": ["p"]})
+    track = Track((0,) * 2000)
+    for text, want in (("[E]p", True), ("[B]p", True), ("<Bi>[E]p", True), ("<E>!p", False)):
+        assert oracle_eval(k, track, parse_formula(text), OracleConfig(4)) == want
+
+
+def test_an_oracle_is_freed_by_reference_counting(k2):
+    oracle = _Oracle(k2, OracleConfig(6))
+    f = fm.normalize(parse_formula("<A>[B]p & [Ai]<E>q | <Bi>[Ei]!p"))
+    oracle.eval(k2.track("v0 v1 v0").states, f)
+    refs = [weakref.ref(oracle)] + [
+        weakref.ref(ev)
+        for ev in oracle.compiled.values()
+        if isinstance(ev, types.FunctionType)
+    ]
+    assert len(refs) > 5
+    gc.disable()
+    try:
+        del oracle
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_scheduler_structure_verdicts(sched):
