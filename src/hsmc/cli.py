@@ -336,8 +336,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundWarning)
             return args.run(args, out)
-    except (HsmcError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HsmcError, OSError, ValueError, MemoryError, RecursionError) as exc:
+        # an exhausted resource is an error, never the verdict "violated"
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -7,9 +7,13 @@ classes ``(v_in, v_fin, J)`` (below) on which it can hold composes
 bottom-up from the witnessed classes: ``Elements.satisfying`` maps every
 such class to the length of its shortest satisfying track and one
 derivation, and the search replays the derivation of the shortest initial
-class alone.  It is a deterministic exhaustive rendering of the paper's
-guess-and-verify procedure; only ``witnessed_elements`` and
-``realize_element`` still walk descriptor elements.
+class alone.  A propositional formula needs no composition: the walk of
+the initial tracks' classes is breadth-first, so its first violating class
+is the shortest, and ``Elements.first_violation`` stops there, as the
+paper's procedure stops at its one guessed track.  It is a deterministic
+exhaustive rendering of the paper's guess-and-verify procedure; only
+``witnessed_elements`` and ``realize_element`` still walk descriptor
+elements.
 
 A formula without started-by has one truth value on all tracks that share
 a class ``(v_in, v_fin, J)``: under homogeneity a letter reads only J,
@@ -176,7 +180,9 @@ def _unwind(s: tuple, parent: dict, forward: bool = True) -> Track:
 
 class _Table:
     """A witness table: the session's scope-0 walk from (``forward``) or
-    into ``anchor``, its starts projected onto ``letters``, materialized.
+    into ``anchor``, its starts projected onto ``letters``, materialized
+    for the readers that need every state; ``first_violation`` walks
+    without one and stops at its first violation.
     ``parent`` maps the state of every track from or into the anchor to the
     state it was first reached from, in breadth-first order, so the track
     ``_unwind`` reads off for a state is a shortest one of that state,
@@ -387,19 +393,14 @@ class Elements:
 
     def first_violation(self, f: fm.Formula) -> Track | None:
         """A shortest initial track that violates the formula, the first in
-        the breadth-first order of the initial tracks' states, or None.  At
-        scope 0 the states are the initial state's witness table; above it
-        the product is walked lazily, each state checked when it is
-        dequeued.  Either walk is projected onto the formula's letters,
-        which keeps the full walk's first violation and its track
-        (``_Table``)."""
+        the breadth-first order of the initial tracks' states, or None.  The
+        walk from the initial state is lazy at every scope: each state is
+        checked when it is dequeued, and the walk stops at the first that
+        fails.  It is projected onto the formula's letters, which keeps the
+        full walk's first violation and its track (``_Table``)."""
         letters, scope, _ = self.masks.get(f) or self._masks(f)
-        if scope:
-            parent: dict[State, State | None] = {}
-            states = self.walk(self.starts(self.k.initial, True, letters), scope, parent)
-        else:
-            states = parent = self.table(self.k.initial, True, letters).parent
-        for s in states:
+        parent: dict[State, State | None] = {}
+        for s in self.walk(self.starts(self.k.initial, True, letters), scope, parent):
             if not self.check(f, s):
                 return _unwind(s, parent)
         return None
@@ -703,6 +704,10 @@ def provide_counterex(
             f"the conp engine expects a universal-fragment formula, got {fm.classify(g).value}"
         )
     session = Elements(structure)
+    if fm.is_propositional(g):
+        # the walk's order is the search's: its first violation is shortest
+        track = session.first_violation(g)
+        return None if track is None else (descriptor_element(track), track)
     a = structure.initial
     found = session.satisfying(fm.to_exists_dual(g), a)
     rank = {c: i for i, c in enumerate(session.table(a, True).parent)}

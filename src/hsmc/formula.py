@@ -438,6 +438,7 @@ def _fmt(f: Formula, parent: int) -> str:
 
 def expand(f: Formula, max_size: int = 1_000_000) -> Formula:
     """Remove the succinct constructs (exponents and bounded conjunctions).
+    A node none of whose children changed is returned itself.
 
     ``max_size`` guards against exponent blow-up; exceeding it raises
     ResourceLimitError.
@@ -457,19 +458,14 @@ def _expand(f: Formula, env: dict[str, int], budget: list[int]) -> Formula:
     if isinstance(f, (Top, Bottom, Prop)):
         return f
     if isinstance(f, Not):
-        return Not(_expand(f.child, env, budget))
-    if isinstance(f, And):
-        return And(_expand(f.left, env, budget), _expand(f.right, env, budget))
-    if isinstance(f, Or):
-        return Or(_expand(f.left, env, budget), _expand(f.right, env, budget))
-    if isinstance(f, Implies):
-        return Implies(_expand(f.left, env, budget), _expand(f.right, env, budget))
-    if isinstance(f, Iff):
-        return Iff(_expand(f.left, env, budget), _expand(f.right, env, budget))
-    if isinstance(f, Diamond):
-        return Diamond(f.mod, _expand(f.child, env, budget))
-    if isinstance(f, Box):
-        return Box(f.mod, _expand(f.child, env, budget))
+        child = _expand(f.child, env, budget)
+        return f if child is f.child else Not(child)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        left, right = _expand(f.left, env, budget), _expand(f.right, env, budget)
+        return f if left is f.left and right is f.right else type(f)(left, right)
+    if isinstance(f, (Diamond, Box)):
+        child = _expand(f.child, env, budget)
+        return f if child is f.child else type(f)(f.mod, child)
     if isinstance(f, ModPower):
         if isinstance(f.power, str):
             if f.power not in env:
@@ -511,42 +507,39 @@ _DERIVED = {
 
 def desugar(f: Formula) -> Formula:
     """Rewrite derived modalities into the six primitive ones and eliminate
-    ``->``/``<->``.  Expects an expanded formula."""
+    ``->``/``<->``.  Expects an expanded formula.  A node none of whose
+    children changed is returned itself, so a formula without sugar is its
+    own result."""
     if isinstance(f, (Top, Bottom, Prop)):
         return f
     if isinstance(f, Not):
-        return Not(desugar(f.child))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right))
+        child = desugar(f.child)
+        return f if child is f.child else Not(child)
+    if isinstance(f, (And, Or)):
+        left, right = desugar(f.left), desugar(f.right)
+        return f if left is f.left and right is f.right else type(f)(left, right)
     if isinstance(f, Implies):
         return Or(Not(desugar(f.left)), desugar(f.right))
     if isinstance(f, Iff):
         left, right = desugar(f.left), desugar(f.right)
         return And(Or(Not(left), right), Or(Not(right), left))
-    if isinstance(f, Diamond):
+    if isinstance(f, (Diamond, Box)):
         child = desugar(f.child)
         if f.mod in _DERIVED:
             outer, inner = _DERIVED[f.mod]
-            return Diamond(outer, Diamond(inner, child))
-        return Diamond(f.mod, child)
-    if isinstance(f, Box):
-        child = desugar(f.child)
-        if f.mod in _DERIVED:
-            outer, inner = _DERIVED[f.mod]
-            return Box(outer, Box(inner, child))
-        return Box(f.mod, child)
+            return type(f)(outer, type(f)(inner, child))
+        return f if child is f.child else type(f)(f.mod, child)
     if isinstance(f, (ModPower, BigAnd)):
         raise FormulaError("expand the formula before desugaring")
     raise TypeError(f"not a formula node: {f!r}")
 
 
 def normalize(f: Formula) -> Formula:
-    """expand followed by desugar: the form every engine works on.  The
-    result is kept on the input node, as ``modalities`` keeps its set, and
-    the result is marked ``True`` rather than pointing at itself, so that
-    normalizing either again returns at once and no reference cycle forms."""
+    """expand followed by desugar: the form every engine works on, sharing
+    every unchanged subtree with the input.  The result is kept on the input
+    node, as ``modalities`` keeps its set, and the result is marked ``True``
+    rather than pointing at itself, so that normalizing either again returns
+    at once and no reference cycle forms."""
     done = f.__dict__.get("_normal")
     if done is not None:
         return f if done is True else done

@@ -209,6 +209,24 @@ def test_counterexample_command(files):
     assert lines[2] == "formula: <E>(e0 & e1)"
 
 
+@pytest.mark.parametrize("command", ["check", "counterexample"])
+@pytest.mark.parametrize("exhausted", [MemoryError, RecursionError])
+def test_an_exhausted_resource_is_an_error_not_a_violation(
+    files, monkeypatch, capsys, command, exhausted
+):
+    # exit 1 means "violated": running out of memory or stack must not read so
+    def provide_counterex(structure, f):
+        raise exhausted()
+
+    monkeypatch.setattr(hsmc.conp, "provide_counterex", provide_counterex)
+    model = files("m.txt", K2_TEXT)
+    formula = files("f.txt", "[E](p | q)\n")
+    code, out = _run([command, "--model", model, "--formula", formula])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {exhausted.__name__}\n"
+
+
 def test_counterexample_command_holds(files):
     model = files("m.txt", K2_TEXT)
     formula = files("f.txt", "[A]T\n")

@@ -17,10 +17,13 @@ from hsmc import (
     descriptor_sequence,
     normalize,
     oracle_eval,
+    parse_dimacs,
     parse_formula,
     parse_kripke,
     provide_counterex,
+    random_cnf,
     realize_element,
+    sat_to_kripke,
     to_exists_dual,
     to_text,
     track_label,
@@ -29,6 +32,8 @@ from hsmc import (
 from hsmc.oracle import _Oracle, all_tracks
 
 from corpus import (
+    assignment_satisfies,
+    cnf_satisfiable,
     pair_free_stats,
     random_checker_formula,
     random_forall_formula,
@@ -292,6 +297,87 @@ def test_propositional_counterexample_reads_back(k2):
     assert found is not None
     _, track = found
     assert "p" in track_label(k2, track)
+
+
+def _picked_by_the_class_search(structure, g):
+    """The track the class search picks for a universal formula: of the
+    classes on which its dual holds, the least by the length of its shortest
+    such track, then by rank in the initial table's breadth-first order."""
+    session = Elements(structure)
+    a = structure.initial
+    found = session.satisfying(to_exists_dual(g), a)
+    rank = {c: i for i, c in enumerate(session.table(a, True).parent)}
+    c = min(found, key=lambda c: (found[c][0], rank[c]), default=None)
+    return None if c is None else session.replay(c, found[c][1])
+
+
+def _counterexample_track(structure, g):
+    found = provide_counterex(structure, g)
+    if found is None:
+        return None
+    element, track = found
+    assert descriptor_element(track) == element
+    return track
+
+
+def test_propositional_counterexamples_are_the_class_searchs_choice():
+    # provide_counterex answers a propositional formula with the first
+    # violation of the initial walk, without composing classes
+    rng = random.Random(3600)
+    lengths = []
+    for _ in range(400):
+        k = random_structure(rng, max_states=6, max_props=4, edge_prob=0.25)
+        g = normalize(random_checker_formula(rng, list(k.propositions), max_modalities=0))
+        assert fm.is_propositional(g)
+        track = _counterexample_track(k, g)
+        assert track == _picked_by_the_class_search(k, g), to_text(g)
+        lengths.append(0 if track is None else len(track))
+    # held, violated by a two-state track, and violated only by longer ones
+    assert lengths.count(0) >= 100 and lengths.count(2) >= 100
+    assert sum(n > 2 for n in lengths) >= 10
+
+
+def test_sat_counterexamples_are_the_class_searchs_choice():
+    rng = random.Random(3601)
+    outcomes = set()
+    for n in range(8, 13):
+        for m in (n // 3, n // 2, n, 2 * n):
+            cnf = random_cnf(rng, n, m)
+            structure, gamma = sat_to_kripke(cnf)
+            g = normalize(gamma)
+            track = _counterexample_track(structure, g)
+            assert track == _picked_by_the_class_search(structure, g)
+            assert (track is not None) == cnf_satisfiable(cnf)
+            if track is not None:
+                letters = track_label(structure, track)
+                env = {i: f"x{i}" in letters for i in range(1, n + 1)}
+                assert assignment_satisfies(cnf, env)
+            outcomes.add(None if track is None else len(track))
+    # unsatisfiable instances, and witnesses from two states to n + 1
+    assert None in outcomes and {2, 13} <= outcomes
+
+
+def test_a_propositional_violation_stops_the_initial_walk(monkeypatch):
+    # all-true satisfies the CNF, so the first initial track, w0 w1_t,
+    # spells a satisfying assignment; the initial table has 2^11 - 2 classes
+    structure, gamma = sat_to_kripke(parse_dimacs("p cnf 10 3\n1 -2 0\n3 4 0\n-5 6 0\n"))
+    full = len(Elements(structure).table(structure.initial, True).parent)
+    assert full == 2**11 - 2
+    visited = []
+    walk = Elements.walk
+
+    def counted(self, *args):
+        for s in walk(self, *args):
+            visited.append(s)
+            yield s
+
+    monkeypatch.setattr(Elements, "walk", counted)
+    track = Elements(structure).first_violation(normalize(gamma))
+    assert structure.track_str(track) == "w0 w1_t"
+    assert 0 < len(visited) < full
+    visited.clear()
+    assert provide_counterex(structure, gamma)[1] == track
+    assert 0 < len(visited) < full
 
 
 @pytest.mark.parametrize("name, count", [("k2", 60), ("mutex", 8)])

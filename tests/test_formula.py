@@ -149,6 +149,28 @@ def test_desugar_idempotent_normalize_idempotent():
         assert normalize(f) is g and normalize(g) is g
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["p", "!(p & q) | r", "[A](p | !q) & [E]!r", "<B>[Bi](T & <Ai>!F)", "(x1 | !x2) & (x3 | x4)"],
+)
+def test_a_formula_without_sugar_is_its_own_normal_form(text):
+    f = parse_formula(text)
+    assert expand(f) is f and desugar(f) is f and normalize(f) is f
+
+
+def test_normalize_keeps_the_unchanged_branch():
+    plain = parse_formula("[A](p | !q) & <B>r")
+    negated = Not(plain)
+    for text in ("p -> q", "<L>p", "[Di](p <-> q)", "<B>^2 p"):
+        sugar = parse_formula(text)
+        g = normalize(And(plain, sugar))
+        assert g.left is plain and g.right == normalize(sugar)
+        g = normalize(Or(sugar, negated))
+        assert g.right is negated and g.left == normalize(sugar)
+    # below a derived modality the child is shared too
+    assert normalize(Diamond(Modality.L, plain)).child.child is plain
+
+
 def test_nest_b():
     assert nest_b(normalize(parse_formula("<B>(<A>p & <B><A>p)"))) == 2
     assert nest_b(Prop("p")) == 0
